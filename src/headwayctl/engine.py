@@ -14,8 +14,11 @@ flow conservation an exact bookkeeping identity. Each step:
 5. emit the reward: minus the scaled total of vehicles in the network and
    in the origin queues.
 
-One engine instance is single-writer; run several instances in parallel if
-you need concurrent rollouts (they share only the immutable Network).
+Steps 2 and 3 have no Python loops over paths or links: index tables built
+once per engine (one row per (link, path) cell on a path) turn the transfer,
+rationing and queue drain into array arithmetic that performs the same
+floating-point operations, in the same order, as a per-cell loop would.
+One engine instance is single-writer and holds one episode at a time.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from .scenario import Scenario
 
 # Tolerance for float bookkeeping noise when clamping counts at zero.
 _NEGATIVE_TOL = 1e-6
-
-EXIT = -1  # next-link sentinel for the last link of a path
 
 
 class InvariantViolation(RuntimeError):
@@ -76,6 +77,16 @@ class EpisodeTrace:
         return float(self.exited_cum[-1])
 
 
+def observation_size(n_links: int) -> int:
+    """Observation length: density and autonomy per link, then time and demand."""
+    return 2 * n_links + 2
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where den > 0, else 0."""
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0.0)
+
+
 def total_travel_time(trace: EpisodeTrace) -> float:
     """Vehicle-steps spent in the network and queues: -(sum of rewards)/scale."""
     return -float(trace.reward.sum()) / trace.reward_scale
@@ -101,27 +112,52 @@ class TrafficEnv:
         self._speed = net.speed_array()
         self._jam = net.jam_density_array()
         self._jam_count = self._jam * self._length
+        self._jam_tolerance = _NEGATIVE_TOL * np.maximum(self._jam_count, 1.0)
 
-        # Global path table across O/D pairs.
-        self._paths: list[tuple[int, ...]] = []
-        self._path_od: list[int] = []
-        for od_idx, od in enumerate(net.od_pairs):
-            for p in od.paths:
-                self._paths.append(tuple(p.links))
-                self._path_od.append(od_idx)
+        # Global path table across O/D pairs; each pair's paths are one
+        # contiguous slice of it.
+        self._paths = [tuple(p.links) for od in net.od_pairs for p in od.paths]
         self.n_paths = len(self._paths)
-        self._od_path_ids: list[list[int]] = [[] for _ in net.od_pairs]
-        for gp, od_idx in enumerate(self._path_od):
-            self._od_path_ids[od_idx].append(gp)
+        n_od_paths = [len(od.paths) for od in net.od_pairs]
+        self._path_od = np.repeat(np.arange(len(n_od_paths)), n_od_paths)
+        ends = np.cumsum(n_od_paths).tolist()
+        self._od_slices = [slice(end - n, end) for n, end in zip(n_od_paths, ends)]
+        self._first_link = np.array([links[0] for links in self._paths], dtype=int)
 
-        # next_link[l, p]: successor of link l on path p, EXIT for the last
-        # link, or -2 when l is not on p.
-        self._next_link = np.full((self.n_links, self.n_paths), -2, dtype=int)
-        self._first_link = np.zeros(self.n_paths, dtype=int)
-        for gp, links in enumerate(self._paths):
-            self._first_link[gp] = links[0]
-            for i, l in enumerate(links):
-                self._next_link[l, gp] = links[i + 1] if i + 1 < len(links) else EXIT
+        # Index tables for the loop-free step. A cell is one (link, path)
+        # pair on a path; cells run path-major with links ascending, the
+        # order in which claims are accumulated. A cell's outflow goes to the
+        # next link on its path or, past the last link, to the extra ration
+        # slot n_links, whose ration is always 1. Its inflow is the outflow
+        # of the cell upstream on its path or, on a first link, the drain of
+        # the path's origin queue (row n_cells + path of the inflow sources).
+        cells = [(gp, l) for gp, links in enumerate(self._paths) for l in sorted(links)]
+        index = {cell: i for i, cell in enumerate(cells)}
+        n_cells = len(cells)
+        cell_dest, upstream, inflow_first = [], [], []
+        for gp, l in cells:
+            links = self._paths[gp]
+            k = links.index(l)
+            cell_dest.append(links[k + 1] if k + 1 < len(links) else self.n_links)
+            upstream.append(index[gp, links[k - 1]] if k else n_cells + gp)
+            # The inflow is added before the outflow is taken when the
+            # upstream link has the lower index, and after it otherwise: the
+            # order of a per-path walk over links in ascending index order
+            # (tests/test_engine_reference.py), so results match it bit for bit.
+            inflow_first.append(k > 0 and links[k - 1] < l)
+        cell_link = np.array([l for _, l in cells], dtype=int)
+        self._cell_link = cell_link
+        self._cell_dest = np.array(cell_dest, dtype=int)
+        self._upstream = np.array(upstream, dtype=int)
+        self._inflow_first = np.array(inflow_first)[:, None]
+        # Flat element indices of each cell's (human, auto) pair in counts.
+        rows = cell_link * self.n_paths + np.array([gp for gp, _ in cells], dtype=int)
+        self._cell_elems = np.stack([2 * rows, 2 * rows + 1], axis=1)
+        transfer = self._cell_dest < self.n_links
+        self._claim_cells = np.nonzero(transfer)[0]
+        self._claim_index = np.concatenate([self._cell_dest[transfer],
+                                            np.repeat(self._first_link, 2)])
+        self._exit_cells = np.nonzero(~transfer)[0]
 
         self._peak_rate = sum(d.peak_rate for d in scenario.demands)
         self._beta_h = net.beta_h_m
@@ -149,7 +185,6 @@ class TrafficEnv:
         ]
         self.injected = 0.0
         self.exited = 0.0
-        self._last_info: dict = {}
 
         for link_id, base in sorted(self.sim.initial_counts.items()):
             count = base
@@ -165,23 +200,16 @@ class TrafficEnv:
         # Split the initial cohort across the paths that traverse this link
         # (per current shares, i.e. uniformly at reset) and across classes
         # by the O/D autonomy fraction.
-        carriers = [gp for gp in range(self.n_paths) if self._next_link[link_id, gp] != -2]
+        carriers = [gp for gp, links in enumerate(self._paths) if link_id in links]
         if not carriers:
             raise ConfigError(f"initial count on link {link_id}, which no path uses")
-        weights = np.array([
-            self.shares[self._path_od[gp]].shares[HUMAN][self._local_path_index(gp)]
-            for gp in carriers
-        ])
+        weights = np.concatenate([s.shares[HUMAN] for s in self.shares])[carriers]
         weights = weights / weights.sum()
         for gp, w in zip(carriers, weights):
             od_idx = self._path_od[gp]
             alpha_od = self.scenario.demands[od_idx].autonomy_fraction
             self.counts[link_id, gp, AUTO] += count * w * alpha_od
             self.counts[link_id, gp, HUMAN] += count * w * (1.0 - alpha_od)
-
-    def _local_path_index(self, global_path: int) -> int:
-        od_idx = self._path_od[global_path]
-        return self._od_path_ids[od_idx].index(global_path)
 
     # ------------------------------------------------------------------
     # control
@@ -213,92 +241,60 @@ class TrafficEnv:
         counts = self.counts
 
         n_link = counts.sum(axis=(1, 2))
-        n_auto = counts[:, :, AUTO].sum(axis=1)
-        with np.errstate(invalid="ignore"):
-            alpha = np.where(n_link > 0.0, n_auto / np.where(n_link > 0.0, n_link, 1.0), 0.0)
+        alpha = _ratio(counts[:, :, AUTO].sum(axis=1), n_link)
 
         ncrit = fd.critical_density(self._lanes, alpha, self.beta_a, self._beta_h)
         rho = n_link / self._length
         flow = fd.sending_flow(n_link, self._length, self._speed, ncrit, self._jam)
         congested = fd.congestion_state(rho, ncrit)
         latency = fd.link_latency(flow, congested, self._length, self._speed, ncrit, self._jam)
-        path_lat = np.array([fd.path_latency(p, latency) for p in self._paths])
-
-        state_row = {
-            "t_s": self.t_s,
-            "count": n_link.copy(),
-            "density": rho.copy(),
-            "autonomy": alpha.copy(),
-            "congested": congested.copy(),
-            "flow_vps": flow.copy(),
-            "latency_s": latency.copy(),
-            "beta_a_m": self.beta_a.copy(),
-            "queued": float(self.queues.sum()),
-        }
+        link_lat = latency.tolist()
+        path_lat = np.array([fd.path_latency(p, link_lat) for p in self._paths])
 
         # Desired sends, proportional across cohorts resident on each link.
-        out_total = np.minimum(flow * dt, n_link)
-        with np.errstate(invalid="ignore"):
-            out_frac = np.where(n_link > 0.0, out_total / np.where(n_link > 0.0, n_link, 1.0), 0.0)
-        send = counts * out_frac[:, None, None]
+        out_frac = _ratio(np.minimum(flow * dt, n_link), n_link)
+        cells = counts.take(self._cell_elems)  # (cell, class)
+        send = cells * out_frac.take(self._cell_link)[:, None]
+        send_total = send[:, 0] + send[:, 1]
 
+        queued = float(self.queues.sum())
         # Demand arrives at the origin queues before the drain attempt.
-        arrivals = np.zeros_like(self.queues)
+        arrivals = np.zeros(self.queues.shape)
         for od_idx, profile in enumerate(self.scenario.demands):
-            rate = demand_at(profile, self.t_s)
-            vol = rate * dt
+            vol = demand_at(profile, self.t_s) * dt
             arrivals[od_idx, AUTO] = vol * profile.autonomy_fraction
             arrivals[od_idx, HUMAN] = vol * (1.0 - profile.autonomy_fraction)
         self.queues += arrivals
         self.injected += float(arrivals.sum())
 
-        # Claims on each receiving link: cohort transfers plus queue drains.
-        claim = np.zeros(self.n_links)
-        for gp in range(self.n_paths):
-            dests = self._next_link[:, gp]
-            for l in np.nonzero(dests >= 0)[0]:
-                claim[dests[l]] += send[l, gp, :].sum()
-        inject_attempt = np.zeros((self.n_paths, 2))
-        for od_idx in range(len(self.net.od_pairs)):
-            share = self.shares[od_idx].shares  # (2, n_paths_od)
-            for local, gp in enumerate(self._od_path_ids[od_idx]):
-                for cls in (HUMAN, AUTO):
-                    amount = self.queues[od_idx, cls] * share[cls, local]
-                    inject_attempt[gp, cls] = amount
-                    claim[self._first_link[gp]] += amount
+        # Claims on each receiving link: cohort transfers plus queue drains,
+        # accumulated in path order (bincount adds sequentially).
+        shares = np.concatenate([s.shares for s in self.shares], axis=1).T  # (path, class)
+        inject_attempt = self.queues.take(self._path_od, axis=0) * shares
+        claim = np.bincount(
+            self._claim_index,
+            np.concatenate([send_total.take(self._claim_cells), inject_attempt.ravel()]),
+            minlength=self.n_links,
+        )
 
         space = self._jam_count - n_link
-        ration = np.ones(self.n_links)
+        ration = np.ones(self.n_links + 1)  # the extra slot is the exit's
         oversubscribed = claim > space
-        ration[oversubscribed] = space[oversubscribed] / claim[oversubscribed]
-        ration = np.clip(ration, 0.0, 1.0)
+        if oversubscribed.any():
+            ration[:-1][oversubscribed] = np.clip(
+                space[oversubscribed] / claim[oversubscribed], 0.0, 1.0)
 
-        # Move cohorts downstream (or out of the network).
-        exited_now = 0.0
-        for gp in range(self.n_paths):
-            dests = self._next_link[:, gp]
-            for l in np.nonzero(dests != -2)[0]:
-                moving = send[l, gp, :]
-                if not moving.any():
-                    continue
-                dest = dests[l]
-                if dest == EXIT:
-                    counts[l, gp, :] -= moving
-                    exited_now += moving.sum()
-                else:
-                    actual = moving * ration[dest]
-                    counts[l, gp, :] -= actual
-                    counts[dest, gp, :] += actual
+        # Move cohorts downstream (or out of the network) and drain the
+        # origin queues onto first links, subject to the same cap.
+        moved = send * ration.take(self._cell_dest)[:, None]
+        drained = inject_attempt * ration.take(self._first_link)[:, None]
+        inflow = np.concatenate([moved, drained]).take(self._upstream, axis=0)
+        counts.put(self._cell_elems, np.where(self._inflow_first, (cells + inflow) - moved,
+                                              (cells - moved) + inflow))
+        np.subtract.at(self.queues, self._path_od, drained)
+        # Left to right, as a running total (sum() would add pairwise).
+        exited_now = float(np.add.accumulate(send_total.take(self._exit_cells))[-1])
         self.exited += exited_now
-
-        # Drain the origin queues onto first links, subject to the same cap.
-        for od_idx in range(len(self.net.od_pairs)):
-            for gp in self._od_path_ids[od_idx]:
-                first = self._first_link[gp]
-                for cls in (HUMAN, AUTO):
-                    moved = inject_attempt[gp, cls] * ration[first]
-                    counts[first, gp, cls] += moved
-                    self.queues[od_idx, cls] -= moved
 
         self._scrub_negatives()
         self._check_state()
@@ -306,21 +302,32 @@ class TrafficEnv:
         # Routing reacts to the latencies realized this step. The knob
         # latency_unit_s sets the time unit mu is expressed in.
         scaled = path_lat / sim.latency_unit_s
-        for od_idx in range(len(self.net.od_pairs)):
-            local = self._od_path_ids[od_idx]
-            self.shares[od_idx] = step_shares(self.shares[od_idx], scaled[local])
+        for od_idx, paths in enumerate(self._od_slices):
+            self.shares[od_idx] = step_shares(self.shares[od_idx], scaled[paths])
 
+        t_s = self.t_s
         self.t_s += dt
         self.step_index += 1
         reward = self.current_reward()
         done = self.t_s >= sim.horizon_s
 
-        state_row["reward"] = reward
-        state_row["injected_cum"] = self.injected
-        state_row["exited_cum"] = self.exited
-        self._last_info = state_row
-        info = dict(state_row)
-        info["exited_step"] = exited_now
+        # The arrays are fresh every step and beta_a is only ever rebound,
+        # so the trace row can hold them without copies.
+        info = {
+            "t_s": t_s,
+            "count": n_link,
+            "density": rho,
+            "autonomy": alpha,
+            "congested": congested,
+            "flow_vps": flow,
+            "latency_s": latency,
+            "beta_a_m": self.beta_a,
+            "queued": queued,
+            "reward": reward,
+            "injected_cum": self.injected,
+            "exited_cum": self.exited,
+            "exited_step": exited_now,
+        }
         return StepResult(obs=self.observe(), reward=reward, done=done, info=info)
 
     def decision_step(self, beta_a_m: np.ndarray) -> StepResult:
@@ -351,17 +358,17 @@ class TrafficEnv:
 
     def observe(self) -> np.ndarray:
         n_link = self.counts.sum(axis=(1, 2))
-        n_auto = self.counts[:, :, AUTO].sum(axis=1)
-        alpha = np.where(n_link > 0.0, n_auto / np.where(n_link > 0.0, n_link, 1.0), 0.0)
-        density_part = np.clip(n_link / self._jam_count, 0.0, 1.0)
+        alpha = _ratio(self.counts[:, :, AUTO].sum(axis=1), n_link)
         t_part = min(self.t_s / self.sim.horizon_s, 1.0)
         rate = sum(demand_at(d, self.t_s) for d in self.scenario.demands)
         rate_part = min(rate / self._peak_rate, 1.0) if self._peak_rate > 0 else 0.0
-        return np.concatenate([density_part, np.clip(alpha, 0.0, 1.0), [t_part, rate_part]])
+        # One clamp for all parts: the last two already lie in [0, 1].
+        obs = np.concatenate([n_link / self._jam_count, alpha, [t_part, rate_part]])
+        return np.minimum(np.maximum(obs, 0.0), 1.0)
 
     @property
     def obs_dim(self) -> int:
-        return 2 * self.n_links + 2
+        return observation_size(self.n_links)
 
     @property
     def done(self) -> bool:
@@ -376,6 +383,8 @@ class TrafficEnv:
 
     def _scrub_negatives(self) -> None:
         for arr in (self.counts, self.queues):
+            if arr.min() >= 0.0:  # nothing negative and no NaN: nothing to do
+                continue
             bad = arr < 0.0
             if np.any(bad):
                 worst = arr[bad].min()
@@ -384,11 +393,10 @@ class TrafficEnv:
                 arr[bad] = 0.0
 
     def _check_state(self) -> None:
-        if not np.all(np.isfinite(self.counts)) or not np.all(np.isfinite(self.queues)):
+        if not (np.isfinite(self.counts).all() and np.isfinite(self.queues).all()):
             raise InvariantViolation(self._diagnostic("non-finite state"))
-        n_link = self.counts.sum(axis=(1, 2))
-        over = n_link - self._jam_count
-        if np.any(over > _NEGATIVE_TOL * np.maximum(self._jam_count, 1.0)):
+        over = self.counts.sum(axis=(1, 2)) - self._jam_count
+        if (over > self._jam_tolerance).any():
             raise InvariantViolation(self._diagnostic("link above jam density"))
 
     def _diagnostic(self, message: str) -> str:

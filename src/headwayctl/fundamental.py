@@ -29,10 +29,10 @@ def critical_density(lanes, autonomy_fraction, beta_a_m, beta_h_m):
     """
     beta_a_m = np.asarray(beta_a_m, dtype=float)
     beta_h_m = np.asarray(beta_h_m, dtype=float)
-    if np.any(beta_a_m <= 0.0) or np.any(beta_h_m <= 0.0):
+    if (beta_a_m <= 0.0).any() or (beta_h_m <= 0.0).any():
         raise ValueError("headways must be positive")
     alpha = np.asarray(autonomy_fraction, dtype=float)
-    if np.any(alpha < 0.0) or np.any(alpha > 1.0):
+    if (alpha < 0.0).any() or (alpha > 1.0).any():
         raise ValueError("autonomy fraction must lie in [0, 1]")
     mean_headway = alpha * beta_a_m + (1.0 - alpha) * beta_h_m
     return np.asarray(lanes, dtype=float) / mean_headway
@@ -88,6 +88,13 @@ def link_latency(flow, congested, length_m, free_flow_speed_mps, crit_density, j
 
 
 def path_latency(path_links, link_latencies) -> float:
-    """Total latency (s) along a path: the sum over its links."""
-    lat = np.asarray(link_latencies, dtype=float)
-    return float(sum(lat[l] for l in path_links))
+    """Total latency (s) along a path: the sum over its links.
+
+    ``link_latencies`` may be an array or a list (a list indexes faster).
+    The sum runs left to right along the path; ``ndarray.sum`` would add
+    three or more terms in a different order.
+    """
+    total = 0.0
+    for l in path_links:
+        total += link_latencies[l]
+    return float(total)

@@ -4,9 +4,8 @@ Every command writes a ``manifest.json`` capturing its resolved options and
 a content hash of the scenario; re-running with ``--from-manifest`` (plus a
 fresh ``--out``) reproduces the CSV outputs byte for byte.
 
-Outputs are plain CSV and SVG only. Episode-level parallelism is capped by
-the HEADWAY_CTRL_THREADS environment variable; results are merged in seed
-order, so the worker count never changes the output.
+Outputs are plain CSV and SVG only. Episodes run one after another, in
+seed order.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path as FsPath
 
@@ -42,26 +39,9 @@ EXIT_USAGE = 2
 EXIT_CHECKPOINT = 3
 
 
-def _max_workers(n_jobs: int) -> int:
-    cap = os.environ.get("HEADWAY_CTRL_THREADS")
-    if cap is not None:
-        try:
-            cap = max(1, int(cap))
-        except ValueError:
-            cap = 1
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs))
-
-
 def _run_episodes(scenario: Scenario, controller, seeds):
-    """Run one episode per seed; output order follows the seed list."""
-    workers = _max_workers(len(seeds))
-    if workers == 1:
-        return [run_episode(scenario, controller, s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_episode, scenario, controller, s) for s in seeds]
-        return [f.result() for f in futures]
+    """Run one episode per seed, serially; output order follows the seed list."""
+    return [run_episode(scenario, controller, s) for s in seeds]
 
 
 def write_csv(path: FsPath, header, rows) -> None:
@@ -86,11 +66,23 @@ def _write_manifest(out_dir: FsPath, command: str, options: dict, scenario: Scen
     (out_dir / MANIFEST_NAME).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _load_manifest(path: str) -> tuple[str, dict]:
+def _load_manifest(path: str) -> tuple[str, dict, str | None]:
     doc = json.loads(FsPath(path).read_text())
-    if doc.get("format") != "headwayctl-manifest":
+    if not isinstance(doc, dict) or doc.get("format") != "headwayctl-manifest":
         raise ConfigError(f"not a run manifest: {path}")
-    return doc["command"], doc["options"]
+    return doc["command"], doc["options"], doc.get("scenario_sha256")
+
+
+def _check_replay_scenario(options: dict, stored_sha256: str | None) -> None:
+    """Refuse to replay when the scenario no longer hashes as recorded."""
+    if stored_sha256 is None:
+        raise ConfigError("manifest has no scenario_sha256; cannot verify the replay")
+    current = _scenario_sha256(load_scenario(options["scenario"]))
+    if current != stored_sha256:
+        raise ConfigError(
+            f"scenario {options['scenario']} has changed since the manifest was written "
+            f"(sha256 {current} != {stored_sha256}); replay would not reproduce the run"
+        )
 
 
 def _summary_rows(seeds, ttts, exits):
@@ -330,14 +322,14 @@ def main(argv=None) -> int:
     command = args.command
     if args.from_manifest:
         try:
-            command, stored = _load_manifest(args.from_manifest)
-        except (OSError, json.JSONDecodeError, ConfigError) as exc:
+            command, stored, stored_sha256 = _load_manifest(args.from_manifest)
+            options = dict(stored)
+            _check_replay_scenario(options, stored_sha256)
+        except (OSError, json.JSONDecodeError, KeyError, ConfigError, ScenarioError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        stored = dict(stored)
         if args.out is not None:
-            stored["out"] = args.out
-        options = stored
+            options["out"] = args.out
         options["command"] = command
     if options.get("out") is None:
         print("error: --out is required", file=sys.stderr)

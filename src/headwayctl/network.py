@@ -6,7 +6,8 @@ concurrently running simulations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +19,10 @@ class ConfigError(ValueError):
 
 class ScenarioError(ValueError):
     """A scenario cannot be realized (e.g. origin cannot reach destination)."""
+
+
+def _finite_positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0
 
 
 @dataclass(frozen=True)
@@ -33,14 +38,14 @@ class Link:
     jam_spacing_m: float
 
     def __post_init__(self):
-        if self.length_m <= 0:
-            raise ConfigError(f"link {self.id}: length must be positive")
+        if not _finite_positive(self.length_m):
+            raise ConfigError(f"link {self.id}: length must be finite and positive")
         if self.lanes < 1:
             raise ConfigError(f"link {self.id}: needs at least one lane")
-        if self.free_flow_speed_mps <= 0:
-            raise ConfigError(f"link {self.id}: free-flow speed must be positive")
-        if self.jam_spacing_m <= 0:
-            raise ConfigError(f"link {self.id}: jam spacing must be positive")
+        if not _finite_positive(self.free_flow_speed_mps):
+            raise ConfigError(f"link {self.id}: free-flow speed must be finite and positive")
+        if not _finite_positive(self.jam_spacing_m):
+            raise ConfigError(f"link {self.id}: jam spacing must be finite and positive")
 
     @property
     def jam_density(self) -> float:
@@ -83,22 +88,27 @@ class DemandProfile:
 
     breakpoints: tuple[tuple[float, float], ...]
     autonomy_fraction: float
+    # Knot arrays for np.interp, built once instead of on every call.
+    times: np.ndarray = field(init=False, repr=False, compare=False)
+    rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = [t for t, _ in self.breakpoints]
+        rates = [r for _, r in self.breakpoints]
+        if not all(math.isfinite(x) for x in times + rates):
+            raise ConfigError("demand breakpoints must be finite")
         if times != sorted(times):
             raise ConfigError("demand breakpoints must be time-sorted")
-        if any(r < 0 for _, r in self.breakpoints):
+        if any(r < 0 for r in rates):
             raise ConfigError("demand rates must be non-negative")
         if not 0.0 <= self.autonomy_fraction <= 1.0:
             raise ConfigError("autonomy fraction must lie in [0, 1]")
+        object.__setattr__(self, "times", np.array(times, dtype=float))
+        object.__setattr__(self, "rates", np.array(rates, dtype=float))
 
     @property
     def peak_rate(self) -> float:
         return max((r for _, r in self.breakpoints), default=0.0)
-
-    def rate_at(self, t_s: float) -> float:
-        return demand_at(self, t_s)
 
 
 def demand_at(profile: DemandProfile, t_s: float) -> float:
@@ -106,9 +116,7 @@ def demand_at(profile: DemandProfile, t_s: float) -> float:
     pts = profile.breakpoints
     if not pts or t_s < pts[0][0] or t_s > pts[-1][0]:
         return 0.0
-    times = [p[0] for p in pts]
-    rates = [p[1] for p in pts]
-    return float(np.interp(t_s, times, rates))
+    return float(np.interp(t_s, profile.times, profile.rates))
 
 
 @dataclass(frozen=True)
@@ -126,6 +134,8 @@ class Network:
     beta_h_m: float
 
     def __post_init__(self):
+        if not all(map(_finite_positive, (self.beta_min_m, self.beta_max_m, self.beta_h_m))):
+            raise ConfigError("headways must be finite and positive")
         if not self.beta_min_m < self.beta_max_m:
             raise ConfigError("need beta_min < beta_max")
         if not self.beta_min_m <= self.beta_h_m <= self.beta_max_m:
@@ -141,14 +151,6 @@ class Network:
                     f"link {link.id}: jam spacing {link.jam_spacing_m} must be "
                     f"smaller than the minimum headway {self.beta_min_m}"
                 )
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for l in self.links:
-            seen.setdefault(l.from_node)
-            seen.setdefault(l.to_node)
-        return tuple(seen)
 
     @property
     def n_links(self) -> int:

@@ -13,6 +13,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
+from .engine import observation_size
 from .network import Network
 from .nn import LOG_STD_MAX, LOG_STD_MIN, init_layers, mlp_forward
 
@@ -118,7 +119,7 @@ def load_checkpoint(path: str | FsPath) -> PolicyParams:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint is not valid JSON: {path}") from exc
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"not a policy checkpoint: {path}")
     try:
         layers = [(np.array(l["w"], dtype=float), np.array(l["b"], dtype=float))
@@ -130,12 +131,33 @@ def load_checkpoint(path: str | FsPath) -> PolicyParams:
             beta_max_m=float(doc["beta_max_m"]),
             obs_version=int(doc.get("obs_version", OBS_SPEC_VERSION)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint: {path}: {exc}") from exc
-    for (W, b), shape in zip(params.layers, doc.get("layer_shapes", [])):
-        if list(W.shape) != list(shape):
-            raise CheckpointError(f"checkpoint layer shape mismatch in {path}")
+    shapes = [list(W.shape) for W, _ in params.layers]
+    if shapes != doc.get("layer_shapes", shapes):
+        raise CheckpointError(f"checkpoint layer shape mismatch in {path}")
+    _check_structure(params, path)
     return params
+
+
+def _check_structure(params: PolicyParams, path) -> None:
+    """Layers chain, log_std matches the actions, observation spec is current."""
+    if not params.layers:
+        raise CheckpointError(f"checkpoint has no layers: {path}")
+    for i, (W, b) in enumerate(params.layers):
+        if W.ndim != 2 or b.shape != (W.shape[1],):
+            raise CheckpointError(
+                f"checkpoint layer {i}: weights {W.shape} and bias {b.shape} do not match: {path}")
+        if i and W.shape[0] != params.layers[i - 1][0].shape[1]:
+            raise CheckpointError(
+                f"checkpoint layer {i} takes {W.shape[0]} inputs, layer {i - 1} gives "
+                f"{params.layers[i - 1][0].shape[1]}: {path}")
+    if params.log_std.shape != (params.n_actions,):
+        raise CheckpointError(f"checkpoint log_std has shape {params.log_std.shape}, "
+                              f"expected ({params.n_actions},): {path}")
+    if params.obs_version != OBS_SPEC_VERSION:
+        raise CheckpointError(f"checkpoint observation spec version {params.obs_version} "
+                              f"!= {OBS_SPEC_VERSION}: {path}")
 
 
 def make_controller(name: str, network: Network):
@@ -151,6 +173,11 @@ def make_controller(name: str, network: Network):
         if params.n_actions != network.n_links:
             raise CheckpointError(
                 f"checkpoint controls {params.n_actions} links, network has {network.n_links}"
+            )
+        if params.obs_dim != observation_size(network.n_links):
+            raise CheckpointError(
+                f"checkpoint reads {params.obs_dim} observations, the scenario gives "
+                f"{observation_size(network.n_links)}"
             )
         return lambda obs: policy_act(params, obs, mode="deterministic")
     raise ValueError(f"unknown controller {name!r} (want uniform, min, or policy:<path>)")

@@ -11,6 +11,7 @@ already en route keep the path they were assigned at injection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +43,20 @@ def logit_update(shares: np.ndarray, latencies: np.ndarray, mu: float) -> np.nda
     latencies = np.asarray(latencies, dtype=float)
     if mu < 0:
         raise ValueError("rationality factor must be non-negative")
-    if not np.all(np.isfinite(latencies)):
+    if shares.size and shares.min() > 0.0:
+        # Fast path, every path carries mass: the masked form below without
+        # the masks. min and max propagate NaN, so both finite means every
+        # latency is.
+        shift = latencies.min()
+        if math.isfinite(shift) and math.isfinite(latencies.max()):
+            weights = shares * np.exp(-mu * (latencies - shift))
+            return weights / weights.sum()
+    if not np.isfinite(latencies).all():
         raise ValueError("latencies must be finite")
-    if np.any(shares < 0):
+    if (shares < 0).any():
         raise ValueError("shares must be non-negative")
     alive = shares > 0.0
-    if not np.any(alive):
+    if not alive.any():
         raise ValueError("at least one share must be positive")
     # Shift by the best latency among paths that still carry mass: that
     # path's weight stays O(1), so the normalizer can never underflow.

@@ -9,6 +9,7 @@ breakpoints), ``control`` (headway bounds and action cadence) and ``sim``
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
@@ -18,6 +19,7 @@ from .network import (
     Link,
     Network,
     ODPair,
+    ScenarioError,
     ScenarioOverrides,
     build_braess_5,
     build_braess_8,
@@ -37,6 +39,11 @@ DEFAULT_PEAK_FACTOR = 6.0
 # human headway.
 DEFAULT_INITIAL_FILL = 0.30
 
+# Longest episode a scenario may ask for, in sim steps (the built-in
+# scenarios take 200). Anything longer is almost surely a typo in dt_s or
+# horizon_s and would run for hours.
+MAX_EPISODE_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -55,14 +62,21 @@ class SimConfig:
     reward_scale: float = 1e-3
 
     def __post_init__(self):
-        if self.dt_s <= 0 or self.horizon_s <= 0:
-            raise ConfigError("dt and horizon must be positive")
+        for name in ("dt_s", "horizon_s", "action_period_s", "latency_unit_s", "reward_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        for name in ("mu_h", "mu_a"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         if self.action_period_s % self.dt_s != 0:
             raise ConfigError("action period must be a multiple of dt")
         if not 0.0 <= self.initial_jitter < 1.0:
             raise ConfigError("initial_jitter must lie in [0, 1)")
-        if self.latency_unit_s <= 0:
-            raise ConfigError("latency_unit_s must be positive")
+        if self.n_steps > MAX_EPISODE_STEPS:
+            raise ConfigError(f"horizon_s / dt_s gives {self.n_steps} steps, "
+                              f"more than the limit of {MAX_EPISODE_STEPS}")
 
     @property
     def n_steps(self) -> int:
@@ -83,9 +97,12 @@ class Scenario:
         if len(self.demands) != len(self.network.od_pairs):
             raise ConfigError("one demand profile per O/D pair required")
         for link_id, count in self.sim.initial_counts.items():
+            if not 0 <= link_id < self.network.n_links:
+                raise ConfigError(f"initial count for unknown link {link_id}")
             link = self.network.links[link_id]
-            if count < 0:
-                raise ConfigError(f"initial count on link {link_id} is negative")
+            if not (math.isfinite(count) and count >= 0):
+                raise ConfigError(f"initial count on link {link_id} must be finite and "
+                                  f"non-negative, got {count}")
             if count / link.length_m > link.jam_density:
                 raise ConfigError(f"initial count on link {link_id} exceeds jam density")
 
@@ -203,29 +220,35 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    """Build and validate a scenario; any bad field raises ConfigError."""
     try:
-        links = tuple(
-            Link(
-                id=int(entry["id"]),
-                from_node=str(entry["from"]),
-                to_node=str(entry["to"]),
-                length_m=float(entry["length_m"]),
-                lanes=int(entry["lanes"]),
-                free_flow_speed_mps=float(entry["vff_mps"]),
-                jam_spacing_m=float(entry["jam_spacing_m"]),
-            )
-            for entry in data["network"]["links"]
-        )
-        od_section = data["od"]
-        control = data["control"]
-        sim_section = data["sim"]
-        demand = DemandProfile(
-            breakpoints=tuple((float(t), float(r)) for t, r in data["demand"]["breakpoints"]),
-            autonomy_fraction=float(od_section["autonomy_fraction"]),
-        )
-    except (KeyError, TypeError) as exc:
+        return _scenario_from_dict(data)
+    except (ConfigError, ScenarioError):
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"malformed scenario document: {exc}") from exc
 
+
+def _scenario_from_dict(data: dict) -> Scenario:
+    links = tuple(
+        Link(
+            id=int(entry["id"]),
+            from_node=str(entry["from"]),
+            to_node=str(entry["to"]),
+            length_m=float(entry["length_m"]),
+            lanes=int(entry["lanes"]),
+            free_flow_speed_mps=float(entry["vff_mps"]),
+            jam_spacing_m=float(entry["jam_spacing_m"]),
+        )
+        for entry in data["network"]["links"]
+    )
+    od_section = data["od"]
+    control = data["control"]
+    sim_section = data["sim"]
+    demand = DemandProfile(
+        breakpoints=tuple((float(t), float(r)) for t, r in data["demand"]["breakpoints"]),
+        autonomy_fraction=float(od_section["autonomy_fraction"]),
+    )
     paths = enumerate_paths(links, str(od_section["origin"]), str(od_section["destination"]))
     od = ODPair(origin=str(od_section["origin"]), destination=str(od_section["destination"]),
                 paths=tuple(paths))

@@ -150,6 +150,60 @@ class TestStep:
         )
 
 
+class TestInvariantGuards:
+    """The guards raise with the seed and step of the offending state."""
+
+    def env_mid_episode(self):
+        env = TrafficEnv(braess5_scenario())
+        env.reset(3)
+        env.decision_step(uniform_headway_policy(env.net))
+        env.apply_action(uniform_headway_policy(env.net))
+        return env
+
+    def assert_violation(self, env, match):
+        step = env.step_index
+        with pytest.raises(InvariantViolation, match=match) as info:
+            env.step_sim()
+        assert f"step {step}, seed 3" in str(info.value)
+
+    def test_nan_count_raises(self):
+        env = self.env_mid_episode()
+        env.counts[0, 0, 1] = np.nan
+        self.assert_violation(env, "non-finite state")
+
+    def test_nan_queue_raises(self):
+        env = self.env_mid_episode()
+        env.queues[0, 0] = np.nan
+        self.assert_violation(env, "non-finite state")
+
+    def test_count_above_jam_raises(self):
+        env = self.env_mid_episode()
+        link = 1  # not an entry link, so the loading above is all there is
+        env.counts[link, 0, 0] = 1.5 * env._jam_count[link]
+        self.assert_violation(env, "link above jam density")
+
+    def empty_env_mid_episode(self):
+        # On an empty link a negative count of both classes leaves the
+        # autonomy fraction at 0, so the step reaches the guards.
+        env = TrafficEnv(single_link_scenario(initial=0.0))
+        env.reset(3)
+        env.apply_action(np.array([6.0]))
+        for _ in range(4):
+            env.step_sim()
+        return env
+
+    def test_negative_count_beyond_tolerance_raises(self):
+        env = self.empty_env_mid_episode()
+        env.counts[0, 0, :] = -1.0
+        self.assert_violation(env, "negative count")
+
+    def test_negative_noise_within_tolerance_is_scrubbed(self):
+        env = self.empty_env_mid_episode()
+        env.counts[0, 0, :] = -1e-9
+        env.step_sim()
+        assert env.counts.min() == 0.0
+
+
 class TestReward:
     def test_hand_counts(self):
         sc = single_link_scenario(reward_scale=1.0)

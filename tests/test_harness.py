@@ -8,6 +8,14 @@ import numpy as np
 import pytest
 
 from headwayctl.harness import EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, main
+from headwayctl.policies import (
+    OBS_SPEC_VERSION,
+    CheckpointError,
+    PolicyParams,
+    load_checkpoint,
+    make_controller,
+    save_checkpoint,
+)
 from headwayctl.scenario import braess5_scenario, save_scenario
 
 
@@ -239,3 +247,138 @@ class TestHeatmap:
         grid[1, :] = 1.0
         svg = heatmap_svg(grid, dt_s=60.0)
         assert svg.count("rgb(220,0,0)") == 4
+
+
+def edited_scenario(tmp_path, edit, name="edited.json"):
+    """A short braess5 scenario JSON with ``edit(doc)`` applied."""
+    sc = braess5_scenario()
+    path = tmp_path / name
+    save_scenario(replace(sc, sim=replace(sc.sim, horizon_s=1800.0)), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestFailFastScenario:
+    """Bad scenario values exit with code 2 at load time, before any step."""
+
+    def assert_rejected(self, tmp_path, edit, match):
+        from headwayctl.network import ConfigError
+        from headwayctl.scenario import load_scenario
+
+        path = edited_scenario(tmp_path, edit)
+        with pytest.raises(ConfigError, match=match):
+            load_scenario(path)
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(tmp_path / "run")]) == EXIT_USAGE
+        assert not (tmp_path / "run").exists()
+
+    def test_nan_length(self, tmp_path):
+        def edit(doc):
+            doc["network"]["links"][1]["length_m"] = float("nan")
+        self.assert_rejected(tmp_path, edit, "length")
+
+    @pytest.mark.parametrize("length", [0.0, -240_000.0])
+    def test_non_positive_length(self, tmp_path, length):
+        def edit(doc):
+            doc["network"]["links"][1]["length_m"] = length
+        self.assert_rejected(tmp_path, edit, "length")
+
+    def test_nan_demand_rate(self, tmp_path):
+        def edit(doc):
+            doc["demand"]["breakpoints"][1][1] = float("nan")
+        self.assert_rejected(tmp_path, edit, "demand")
+
+    @pytest.mark.parametrize("key", ["mu_h", "mu_a"])
+    def test_negative_rationality(self, tmp_path, key):
+        def edit(doc):
+            doc["sim"][key] = -0.1
+        self.assert_rejected(tmp_path, edit, key)
+
+    def test_absurd_horizon(self, tmp_path):
+        def edit(doc):
+            doc["sim"]["horizon_s"] = 1e300
+        self.assert_rejected(tmp_path, edit, "steps")
+
+    def test_non_numeric_field(self, tmp_path):
+        def edit(doc):
+            doc["sim"]["dt_s"] = "one minute"
+        self.assert_rejected(tmp_path, edit, "malformed")
+
+
+class TestCheckpointValidation:
+    """Structurally bad checkpoints exit with code 3 before any episode."""
+
+    def checkpoint(self, tmp_path, edit):
+        path = tmp_path / "ckpt.json"
+        params = PolicyParams.new(12, 5, np.random.default_rng(0))
+        save_checkpoint(params, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    def assert_exit_3(self, short_scenario, tmp_path, path):
+        assert main(["evaluate", "--scenario", short_scenario, "--out", str(tmp_path / "ev"),
+                     "--controller", f"policy:{path}"]) == EXIT_CHECKPOINT
+
+    def test_layers_that_do_not_chain(self, short_scenario, tmp_path):
+        def edit(doc):
+            # One input row fewer on the last layer: it takes 63 inputs from
+            # a 64-wide hidden layer.
+            doc["layers"][2]["w"] = doc["layers"][2]["w"][:-1]
+            doc["layer_shapes"][2][0] -= 1
+        path = self.checkpoint(tmp_path, edit)
+        with pytest.raises(CheckpointError, match="layer 2 takes 63 inputs"):
+            load_checkpoint(path)
+        self.assert_exit_3(short_scenario, tmp_path, path)
+
+    def test_log_std_length(self, short_scenario, tmp_path):
+        def edit(doc):
+            doc["log_std"] = doc["log_std"][:-1]
+        path = self.checkpoint(tmp_path, edit)
+        with pytest.raises(CheckpointError, match="log_std"):
+            load_checkpoint(path)
+        self.assert_exit_3(short_scenario, tmp_path, path)
+
+    def test_obs_version(self, short_scenario, tmp_path):
+        def edit(doc):
+            doc["obs_version"] = OBS_SPEC_VERSION + 1
+        path = self.checkpoint(tmp_path, edit)
+        with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+        self.assert_exit_3(short_scenario, tmp_path, path)
+
+    def test_obs_dim_against_network(self, short_scenario, tmp_path):
+        path = tmp_path / "wide.json"
+        save_checkpoint(PolicyParams.new(14, 5, np.random.default_rng(0)), path)
+        load_checkpoint(path)  # well formed on its own
+        with pytest.raises(CheckpointError, match="14 observations"):
+            make_controller(f"policy:{path}", braess5_scenario().network)
+        self.assert_exit_3(short_scenario, tmp_path, path)
+
+
+class TestHonestReplay:
+    def test_edited_scenario_refuses_replay(self, tmp_path):
+        path = edited_scenario(tmp_path, lambda doc: None, name="sc.json")
+        first = tmp_path / "first"
+        assert main(["simulate", "--scenario", str(path), "--out", str(first)]) == EXIT_OK
+        doc = json.loads(path.read_text())
+        doc["sim"]["mu_h"] = 0.2
+        path.write_text(json.dumps(doc))
+        again = tmp_path / "again"
+        assert main(["simulate", "--from-manifest", str(first / "manifest.json"),
+                     "--out", str(again)]) == EXIT_USAGE
+        assert not again.exists()
+
+    def test_unchanged_scenario_replays(self, tmp_path):
+        path = edited_scenario(tmp_path, lambda doc: None, name="sc.json")
+        first = tmp_path / "first"
+        assert main(["simulate", "--scenario", str(path), "--out", str(first)]) == EXIT_OK
+        # Reformatting the file does not change the scenario it describes.
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=4))
+        again = tmp_path / "again"
+        assert main(["simulate", "--from-manifest", str(first / "manifest.json"),
+                     "--out", str(again)]) == EXIT_OK
+        assert read_bytes_of_csvs(first) == read_bytes_of_csvs(again)

@@ -156,6 +156,25 @@ class TestDemand:
         with pytest.raises(ConfigError):
             DemandProfile(breakpoints=((10.0, 1.0), (0.0, 1.0)), autonomy_fraction=0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_breakpoints_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            DemandProfile(breakpoints=((0.0, 1.0), (10.0, bad)), autonomy_fraction=0.5)
+        with pytest.raises(ConfigError, match="finite"):
+            DemandProfile(breakpoints=((0.0, 1.0), (bad, 1.0)), autonomy_fraction=0.5)
+
+    def test_cached_knots_match_list_interpolation(self):
+        # The knot arrays are built once per profile; the rate must equal
+        # np.interp over freshly built lists, bit for bit, at every time.
+        pts = self.PROFILE.breakpoints
+        times = [t for t, _ in pts]
+        rates = [r for _, r in pts]
+        ts = np.concatenate([np.linspace(-50.0, 450.0, 1001), times, [-1e9, 1e9]])
+        for t in ts:
+            inside = times[0] <= t <= times[-1]
+            want = float(np.interp(t, times, rates)) if inside else 0.0
+            assert demand_at(self.PROFILE, float(t)) == want
+
 
 class TestScenarioIO:
     def test_round_trip(self, tmp_path):

@@ -109,3 +109,48 @@ class TestStepShares:
         out = step_shares(state, np.array([123.0]))
         assert out.shares[HUMAN] == pytest.approx([1.0], rel=1e-12)
         assert out.shares[AUTO] == pytest.approx([1.0], rel=1e-12)
+
+
+def masked_logit_update(shares, latencies, mu):
+    """The update in its general masked form: only paths with mass take part."""
+    alive = shares > 0.0
+    shift = latencies[alive].min()
+    weights = np.zeros_like(shares)
+    weights[alive] = shares[alive] * np.exp(-mu * (latencies[alive] - shift))
+    return weights / weights.sum()
+
+
+def test_all_alive_fast_path_matches_masked_form_exactly():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        shares = rng.dirichlet(np.ones(5))
+        lat = rng.uniform(0.0, 3_000.0, size=5)
+        mu = rng.uniform(0.0, 2.0)
+        assert np.array_equal(logit_update(shares, lat, mu), masked_logit_update(shares, lat, mu))
+
+
+def test_one_zero_share_matches_masked_form_exactly():
+    rng = np.random.default_rng(12)
+    for k in range(200):
+        shares = rng.dirichlet(np.ones(4))
+        shares[k % 4] = 0.0
+        shares /= shares.sum()
+        lat = rng.uniform(0.0, 3_000.0, size=4)
+        # The dead path is often the fastest: its latency must not set the shift.
+        lat[k % 4] = 0.0 if k % 2 else lat[k % 4]
+        out = logit_update(shares, lat, 0.3)
+        assert np.array_equal(out, masked_logit_update(shares, lat, 0.3))
+        assert out[k % 4] == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_latency_rejected_with_all_paths_alive(bad):
+    with pytest.raises(ValueError, match="finite"):
+        logit_update(np.array([0.5, 0.5]), np.array([1.0, bad]), mu=0.1)
+
+
+def test_negative_share_and_mu_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        logit_update(np.array([1.5, -0.5]), np.array([1.0, 2.0]), mu=0.1)
+    with pytest.raises(ValueError, match="rationality"):
+        logit_update(np.array([0.5, 0.5]), np.array([1.0, 2.0]), mu=-0.1)
