@@ -40,7 +40,7 @@ from .policies import (
     uniform_headway_policy,
 )
 from .ppo import TrainConfig, compute_gae, evaluate_policy, train
-from .routing import PathShares, logit_update, step_shares
+from .routing import logit_update, step_shares
 from .scenario import (
     Scenario,
     SimConfig,

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fundamental as fd
 from .network import ConfigError, demand_at
-from .routing import AUTO, HUMAN, PathShares, step_shares
+from .routing import AUTO, HUMAN, step_shares
 from .scenario import Scenario
 
 # Tolerance for float bookkeeping noise when clamping counts at zero.
@@ -179,10 +179,9 @@ class TrafficEnv:
         self.counts = np.zeros((self.n_links, self.n_paths, 2))
         self.queues = np.zeros((len(self.net.od_pairs), 2))
         self.beta_a = np.full(self.n_links, self._beta_h)
-        self.shares = [
-            PathShares.uniform(len(od.paths), self.sim.mu_h, self.sim.mu_a)
-            for od in self.net.od_pairs
-        ]
+        # Per O/D pair, the (human, auto) x path route shares, uniform at reset.
+        self.shares = [np.full((2, len(od.paths)), 1.0 / len(od.paths))
+                       for od in self.net.od_pairs]
         self.injected = 0.0
         self.exited = 0.0
 
@@ -203,7 +202,7 @@ class TrafficEnv:
         carriers = [gp for gp, links in enumerate(self._paths) if link_id in links]
         if not carriers:
             raise ConfigError(f"initial count on link {link_id}, which no path uses")
-        weights = np.concatenate([s.shares[HUMAN] for s in self.shares])[carriers]
+        weights = np.concatenate([s[HUMAN] for s in self.shares])[carriers]
         weights = weights / weights.sum()
         for gp, w in zip(carriers, weights):
             od_idx = self._path_od[gp]
@@ -217,12 +216,13 @@ class TrafficEnv:
     def apply_action(self, beta_a_m: np.ndarray) -> bool:
         """Set per-link autonomous headways; returns True if clamping occurred.
 
-        Only legal at action-period boundaries. Out-of-bounds components are
-        clamped so that stochastic policies remain valid during training.
+        Only legal at action-period boundaries, which are counted in steps.
+        Out-of-bounds components are clamped to the network's headway bounds.
         """
-        period = self.sim.action_period_s
-        if self.t_s % period != 0.0:
-            raise ValueError(f"action applied at t={self.t_s}, not a multiple of {period}")
+        period = self.sim.steps_per_action
+        if self.step_index % period:
+            raise ValueError(f"action applied at step {self.step_index}, "
+                             f"not a multiple of {period} steps")
         beta = np.asarray(beta_a_m, dtype=float)
         if beta.shape != (self.n_links,):
             raise ValueError(f"action must have shape ({self.n_links},)")
@@ -269,7 +269,7 @@ class TrafficEnv:
 
         # Claims on each receiving link: cohort transfers plus queue drains,
         # accumulated in path order (bincount adds sequentially).
-        shares = np.concatenate([s.shares for s in self.shares], axis=1).T  # (path, class)
+        shares = np.concatenate(self.shares, axis=1).T  # (path, class)
         inject_attempt = self.queues.take(self._path_od, axis=0) * shares
         claim = np.bincount(
             self._claim_index,
@@ -303,13 +303,14 @@ class TrafficEnv:
         # latency_unit_s sets the time unit mu is expressed in.
         scaled = path_lat / sim.latency_unit_s
         for od_idx, paths in enumerate(self._od_slices):
-            self.shares[od_idx] = step_shares(self.shares[od_idx], scaled[paths])
+            self.shares[od_idx] = step_shares(self.shares[od_idx], scaled[paths],
+                                              sim.mu_h, sim.mu_a)
 
+        # Time is the step index; t_s is derived from it, never accumulated.
         t_s = self.t_s
-        self.t_s += dt
         self.step_index += 1
+        self.t_s = self.step_index * dt
         reward = self.current_reward()
-        done = self.t_s >= sim.horizon_s
 
         # The arrays are fresh every step and beta_a is only ever rebound,
         # so the trace row can hold them without copies.
@@ -328,25 +329,23 @@ class TrafficEnv:
             "exited_cum": self.exited,
             "exited_step": exited_now,
         }
-        return StepResult(obs=self.observe(), reward=reward, done=done, info=info)
+        return StepResult(obs=self.observe(), reward=reward, done=self.done, info=info)
 
     def decision_step(self, beta_a_m: np.ndarray) -> StepResult:
         """Apply an action and run one full action period of sim steps.
 
-        The returned reward is the sum over the inner steps; ``info`` carries
-        the last inner step plus whether the action needed clamping.
+        The returned reward is the sum over the inner steps; ``info`` holds
+        whether the action needed clamping and the inner steps' trace rows.
+        The period ends early at the end of the episode.
         """
-        clamped = self.apply_action(beta_a_m)
+        info = {"action_clamped": self.apply_action(beta_a_m), "rows": []}
         total = 0.0
-        result = None
         for _ in range(self.sim.steps_per_action):
             result = self.step_sim()
             total += result.reward
+            info["rows"].append(result.info)
             if result.done:
                 break
-        assert result is not None
-        info = dict(result.info)
-        info["action_clamped"] = clamped
         return StepResult(obs=result.obs, reward=total, done=result.done, info=info)
 
     # ------------------------------------------------------------------
@@ -372,11 +371,12 @@ class TrafficEnv:
 
     @property
     def done(self) -> bool:
-        return self.t_s >= self.sim.horizon_s
+        return self.step_index >= self.sim.n_steps
 
     @property
     def n_decisions(self) -> int:
-        return self.sim.n_steps // self.sim.steps_per_action
+        """Decision steps per episode, a trailing partial period included."""
+        return -(-self.sim.n_steps // self.sim.steps_per_action)
 
     # ------------------------------------------------------------------
     # internal guards
@@ -417,13 +417,8 @@ def run_episode(scenario: Scenario, controller, seed: int) -> EpisodeTrace:
     obs = env.reset(seed)
     rows: list[dict] = []
     while not env.done:
-        action = np.asarray(controller(obs), dtype=float)
-        env.apply_action(action)
-        for _ in range(env.sim.steps_per_action):
-            result = env.step_sim()
-            rows.append(result.info)
-            if result.done:
-                break
+        result = env.decision_step(controller(obs))
+        rows.extend(result.info["rows"])
         obs = result.obs
 
     L = env.n_links

@@ -23,7 +23,7 @@ import numpy as np
 from .engine import TRACE_CSV_HEADER, run_episode, trace_to_csv_rows
 from .heatmap import write_heatmap
 from .network import ConfigError, ScenarioError
-from .policies import CheckpointError, PolicyParams, make_controller, save_checkpoint
+from .policies import CheckpointError, make_controller, save_checkpoint
 from .ppo import LEARNING_CURVE_HEADER, TrainConfig, evaluate_policy, train
 from .scenario import (
     Scenario,
@@ -37,11 +37,6 @@ MANIFEST_NAME = "manifest.json"
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CHECKPOINT = 3
-
-
-def _run_episodes(scenario: Scenario, controller, seeds):
-    """Run one episode per seed, serially; output order follows the seed list."""
-    return [run_episode(scenario, controller, s) for s in seeds]
 
 
 def write_csv(path: FsPath, header, rows) -> None:
@@ -101,18 +96,43 @@ def _with_alpha(scenario: Scenario, alpha: float) -> Scenario:
     return replace(scenario, demands=demands)
 
 
+def _out_dir(options: dict) -> FsPath:
+    out = FsPath(options["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _train_config(options: dict) -> TrainConfig:
+    return TrainConfig(total_steps=options["budget"], seed=options["seeds"][0],
+                       n_steps=options["n_steps"], n_envs=options["n_envs"])
+
+
+def _controller_ttts(scenario: Scenario, name: str, seeds) -> list[float]:
+    controller = make_controller(name, scenario.network)
+    return [run_episode(scenario, controller, s).ttt for s in seeds]
+
+
+def _policy_ttts(scenario: Scenario, options: dict) -> list[float]:
+    """Per-seed TTT of a sweep's policy column: a policy trained for
+    ``--budget`` decision steps if the budget is positive, else ``--controller``."""
+    if options["budget"] > 0:
+        params, _ = train(scenario, _train_config(options))
+        return evaluate_policy(scenario, params, options["seeds"])
+    return _controller_ttts(scenario, options["controller"], options["seeds"])
+
+
 # ----------------------------------------------------------------------
 # commands
 
-def cmd_simulate(options: dict, write_traces: bool = True) -> int:
+def cmd_simulate(options: dict) -> int:
+    """simulate and evaluate: one episode per seed; only simulate writes traces."""
     scenario = load_scenario(options["scenario"])
     controller = make_controller(options["controller"], scenario.network)
     seeds = options["seeds"]
-    out = FsPath(options["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(options)
 
-    traces = _run_episodes(scenario, controller, seeds)
-    if write_traces:
+    traces = [run_episode(scenario, controller, s) for s in seeds]
+    if options["command"] == "simulate":
         for seed, trace in zip(seeds, traces):
             write_csv(out / f"trace_seed{seed}.csv", TRACE_CSV_HEADER, trace_to_csv_rows(trace))
     ttts = [t.ttt for t in traces]
@@ -124,24 +144,12 @@ def cmd_simulate(options: dict, write_traces: bool = True) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(options: dict) -> int:
-    return cmd_simulate(options, write_traces=False)
-
-
 def cmd_train(options: dict) -> int:
     scenario = load_scenario(options["scenario"])
-    out = FsPath(options["out"])
-    out.mkdir(parents=True, exist_ok=True)
-
-    config = TrainConfig(
-        total_steps=options["budget"],
-        seed=options["seeds"][0],
-        n_steps=options["n_steps"],
-        n_envs=options["n_envs"],
-    )
+    out = _out_dir(options)
     if options["budget"] == 0:
         print("warning: --budget 0, writing an untrained checkpoint", file=sys.stderr)
-    params, curve = train(scenario, config)
+    params, curve = train(scenario, _train_config(options))
     save_checkpoint(params, out / "checkpoint.json")
     write_csv(out / "learning_curve.csv", LEARNING_CURVE_HEADER,
               [[row[k] for k in LEARNING_CURVE_HEADER] for row in curve])
@@ -157,23 +165,12 @@ def cmd_sweep_mu(options: dict) -> int:
     if not mus:
         raise ConfigError("empty mu list")
     scenario = load_scenario(options["scenario"])
-    seeds = options["seeds"]
-    out = FsPath(options["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(options)
 
     rows = []
     for mu in mus:
-        sc = _with_mu(scenario, mu)
-        if options["budget"] > 0:
-            params, _ = train(sc, TrainConfig(total_steps=options["budget"],
-                                              seed=seeds[0],
-                                              n_steps=options["n_steps"],
-                                              n_envs=options["n_envs"]))
-            ttts = evaluate_policy(sc, params, seeds)
-        else:
-            controller = make_controller(options["controller"], sc.network)
-            ttts = [t.ttt for t in _run_episodes(sc, controller, seeds)]
-        rows.append([mu, float(np.mean(ttts)), float(np.std(ttts)), len(seeds)])
+        ttts = _policy_ttts(_with_mu(scenario, mu), options)
+        rows.append([mu, float(np.mean(ttts)), float(np.std(ttts)), len(ttts)])
     write_csv(out / "sweep_mu.csv", ["mu", "mean_ttt", "std_ttt", "n_seeds"], rows)
     options["mu_axis_scale"] = "log"
     _write_manifest(out, "sweep-mu", options, scenario)
@@ -189,36 +186,14 @@ def cmd_sweep_alpha(options: dict) -> int:
             raise ConfigError(f"alpha {a} outside [0, 1]")
     scenario = load_scenario(options["scenario"])
     seeds = options["seeds"]
-    out = FsPath(options["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(options)
 
     rows = []
     for alpha in alphas:
         sc = _with_alpha(scenario, alpha)
-        if options["budget"] > 0:
-            params, _ = train(sc, TrainConfig(total_steps=options["budget"],
-                                              seed=seeds[0],
-                                              n_steps=options["n_steps"],
-                                              n_envs=options["n_envs"]))
-            policy_ttts = evaluate_policy(sc, params, seeds)
-        elif options["controller"].startswith("policy:"):
-            controller = make_controller(options["controller"], sc.network)
-            policy_ttts = [t.ttt for t in _run_episodes(sc, controller, seeds)]
-        else:
-            # No checkpoint and no training budget: evaluate a freshly
-            # initialized policy so the column is still well defined.
-            from .engine import TrafficEnv
-
-            env = TrafficEnv(sc)
-            params = PolicyParams.new(env.obs_dim, sc.network.n_links,
-                                      np.random.default_rng(seeds[0]),
-                                      beta_min_m=sc.network.beta_min_m,
-                                      beta_max_m=sc.network.beta_max_m)
-            policy_ttts = evaluate_policy(sc, params, seeds)
-        row = [alpha, float(np.mean(policy_ttts)), float(np.std(policy_ttts))]
-        for baseline in ("uniform", "min"):
-            controller = make_controller(baseline, sc.network)
-            ttts = [t.ttt for t in _run_episodes(sc, controller, seeds)]
+        row = [alpha]
+        for ttts in (_policy_ttts(sc, options), _controller_ttts(sc, "uniform", seeds),
+                     _controller_ttts(sc, "min", seeds)):
             row.extend([float(np.mean(ttts)), float(np.std(ttts))])
         rows.append(row)
     write_csv(out / "sweep_alpha.csv",
@@ -231,6 +206,8 @@ def cmd_sweep_alpha(options: dict) -> int:
 
 def cmd_heatmap(options: dict) -> int:
     scenario = load_scenario(options["scenario"])
+    if options["trace"] is None:
+        raise ConfigError("heatmap needs --trace")
     trace_path = FsPath(options["trace"])
     if not trace_path.exists():
         raise ScenarioFileError(f"trace not found: {trace_path}")
@@ -247,8 +224,7 @@ def cmd_heatmap(options: dict) -> int:
     for r in records:
         li = int(r["link_id"])
         grid[li, t_index[float(r["t_s"])]] = float(r["density"]) / jam[li]
-    out = FsPath(options["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(options)
     write_heatmap(grid, scenario.sim.dt_s, out / "heatmap.svg")
     _write_manifest(out, "heatmap", options, scenario)
     return EXIT_OK
@@ -265,64 +241,59 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="headwayctl",
-        description="Mixed-autonomy traffic simulation with dynamic headway control",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, controller_default="uniform"):
-        p.add_argument("--scenario", default="braess5",
-                       help="built-in name (braess5, braess8) or scenario JSON path")
-        p.add_argument("--out", required=False, default=None, help="output directory")
-        p.add_argument("--seed", type=_int_list, default=[0], dest="seeds",
-                       help="comma-separated seed list")
-        p.add_argument("--controller", default=controller_default,
-                       help="uniform | min | policy:<checkpoint.json>")
-        p.add_argument("--budget", type=int, default=0, help="training decision-step budget")
-        p.add_argument("--mu", type=_float_list, default=[], help="comma-separated mu values")
-        p.add_argument("--alpha", type=_float_list, default=[], help="comma-separated alphas")
-        p.add_argument("--n-steps", type=int, default=2048, dest="n_steps")
-        p.add_argument("--n-envs", type=int, default=8, dest="n_envs")
-        p.add_argument("--trace", default=None, help="trace CSV (heatmap command)")
-        p.add_argument("--from-manifest", default=None, dest="from_manifest",
-                       help="re-run with the options stored in a manifest")
-
-    for name in ("simulate", "train", "evaluate", "sweep-mu", "sweep-alpha", "heatmap"):
-        common(sub.add_parser(name))
-    return parser
-
-
 _DISPATCH = {
     "simulate": cmd_simulate,
+    "evaluate": cmd_simulate,
     "train": cmd_train,
-    "evaluate": cmd_evaluate,
     "sweep-mu": cmd_sweep_mu,
     "sweep-alpha": cmd_sweep_alpha,
     "heatmap": cmd_heatmap,
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each taking only the flags its command reads."""
+    parser = argparse.ArgumentParser(
+        prog="headwayctl",
+        description="Mixed-autonomy traffic simulation with dynamic headway control",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {name: sub.add_parser(name) for name in _DISPATCH}
+
+    def add(names, *flags, **kwargs):
+        for name in names.split():
+            commands[name].add_argument(*flags, **kwargs)
+
+    every = " ".join(commands)
+    add(every, "--scenario", default="braess5",
+        help="built-in name (braess5, braess8) or scenario JSON path")
+    add(every, "--out", default=None, help="output directory (required)")
+    add(every, "--from-manifest", default=None, dest="from_manifest",
+        help="re-run with the options stored in a manifest")
+    add("simulate evaluate train sweep-mu sweep-alpha", "--seed", type=_int_list, default=[0],
+        dest="seeds", help="comma-separated seed list (train and sweeps train on the first)")
+    add("simulate evaluate sweep-mu sweep-alpha", "--controller", default="uniform",
+        help="uniform | min | policy:<checkpoint.json>")
+    add("train sweep-mu sweep-alpha", "--budget", type=int, default=0,
+        help="training decision-step budget")
+    add("train sweep-mu sweep-alpha", "--n-steps", type=int, default=2048, dest="n_steps",
+        help="decision steps per PPO update")
+    add("train sweep-mu sweep-alpha", "--n-envs", type=int, default=8, dest="n_envs",
+        help="environments stepped per rollout")
+    add("sweep-mu", "--mu", type=_float_list, default=[], help="comma-separated mu values")
+    add("sweep-alpha", "--alpha", type=_float_list, default=[], help="comma-separated alphas")
+    add("heatmap", "--trace", default=None, help="trace CSV written by simulate")
+    return parser
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    options = {
-        "command": args.command,
-        "scenario": args.scenario,
-        "out": args.out,
-        "seeds": args.seeds,
-        "controller": args.controller,
-        "budget": args.budget,
-        "mu": args.mu,
-        "alpha": args.alpha,
-        "n_steps": args.n_steps,
-        "n_envs": args.n_envs,
-        "trace": args.trace,
-    }
+    options = vars(args)
+    manifest = options.pop("from_manifest")
     command = args.command
-    if args.from_manifest:
+    if manifest:
         try:
-            command, stored, stored_sha256 = _load_manifest(args.from_manifest)
+            command, stored, stored_sha256 = _load_manifest(manifest)
             options = dict(stored)
             _check_replay_scenario(options, stored_sha256)
         except (OSError, json.JSONDecodeError, KeyError, ConfigError, ScenarioError) as exc:

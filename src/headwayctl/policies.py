@@ -1,8 +1,9 @@
 """Headway controllers: the two constant baselines and the learned policy head.
 
 A controller maps an observation to a per-link autonomous headway vector.
-The learned policy squashes a Gaussian-perturbed MLP output through a
-sigmoid, so its actions always respect the headway bounds.
+The learned policy is a Gaussian over pre-squash MLP outputs; it acts with
+the mean, squashed through a sigmoid so its actions always respect the
+headway bounds. Training samples around the mean itself (``ppo.train``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .engine import observation_size
 from .network import Network
-from .nn import LOG_STD_MAX, LOG_STD_MIN, init_layers, mlp_forward
+from .nn import init_layers, mlp_forward
 
 CHECKPOINT_FORMAT = "headwayctl-policy"
 OBS_SPEC_VERSION = 1
@@ -73,29 +74,14 @@ class PolicyParams:
     def n_actions(self) -> int:
         return self.layers[-1][0].shape[1]
 
-    def clipped_log_std(self) -> np.ndarray:
-        return np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
 
-
-def policy_act(params: PolicyParams, obs: np.ndarray, mode: str = "deterministic",
-               rng=None) -> np.ndarray:
-    """Map an observation to a bounded headway action.
-
-    Deterministic mode uses the Gaussian mean; stochastic mode samples the
-    pre-squash output first (requires ``rng``).
-    """
+def policy_act(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
+    """Map an observation to a bounded headway action: the squashed mean."""
     obs = np.asarray(obs, dtype=float)
     if obs.shape != (params.obs_dim,):
         raise ValueError(f"observation shape {obs.shape} != ({params.obs_dim},)")
     u, _ = mlp_forward(params.layers, obs[None, :])
-    u = u[0]
-    if mode == "stochastic":
-        if rng is None:
-            raise ValueError("stochastic mode needs an rng")
-        u = u + np.exp(params.clipped_log_std()) * rng.standard_normal(u.shape)
-    elif mode != "deterministic":
-        raise ValueError(f"unknown mode {mode!r}")
-    return squash_to_bounds(u, params.beta_min_m, params.beta_max_m)
+    return squash_to_bounds(u[0], params.beta_min_m, params.beta_max_m)
 
 
 def save_checkpoint(params: PolicyParams, path: str | FsPath) -> None:
@@ -179,5 +165,5 @@ def make_controller(name: str, network: Network):
                 f"checkpoint reads {params.obs_dim} observations, the scenario gives "
                 f"{observation_size(network.n_links)}"
             )
-        return lambda obs: policy_act(params, obs, mode="deterministic")
+        return lambda obs: policy_act(params, obs)
     raise ValueError(f"unknown controller {name!r} (want uniform, min, or policy:<path>)")

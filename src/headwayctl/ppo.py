@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import TrafficEnv
+from .engine import TrafficEnv, run_episode
 from .nn import (
     Adam,
     LOG_STD_MAX,
@@ -47,9 +47,6 @@ class TrainConfig:
     value_coef: float = 0.5
     hidden: tuple[int, ...] = (64, 64)
     log_std_init: float = 0.0
-    # Rewards are divided by a running std of the discounted return so the
-    # value head regresses O(1) targets regardless of vehicle counts.
-    normalize_rewards: bool = True
     eval_seeds: tuple[int, ...] = (9001, 9002, 9003)
 
     def __post_init__(self):
@@ -110,9 +107,6 @@ class RolloutBuffer:
     obs: np.ndarray        # (N, obs_dim)
     actions_u: np.ndarray  # (N, A) pre-squash samples
     log_probs: np.ndarray  # (N,)
-    rewards: np.ndarray    # (N,) possibly normalized
-    values: np.ndarray     # (N,)
-    dones: np.ndarray      # (N,)
     advantages: np.ndarray # (N,)
     returns: np.ndarray    # (N,)
 
@@ -140,7 +134,8 @@ def compute_gae(rewards, values, dones, gamma: float, lam: float):
 
 
 class _ReturnNormalizer:
-    """Running std of the discounted return, used to scale rewards."""
+    """Running std of the discounted return. Training divides rewards by it so
+    the value head regresses O(1) targets regardless of vehicle counts."""
 
     def __init__(self, gamma: float, n_envs: int):
         self.gamma = gamma
@@ -243,19 +238,9 @@ def ppo_update(ac: ActorCritic, buffer: RolloutBuffer, config: TrainConfig,
 
 
 def evaluate_policy(scenario: Scenario, params: PolicyParams, seeds) -> list[float]:
-    """Deterministic-episode TTT for each seed."""
-    env = TrafficEnv(scenario)
-    ttts = []
-    for seed in seeds:
-        obs = env.reset(seed)
-        total = 0.0
-        while not env.done:
-            action = policy_act(params, obs, mode="deterministic")
-            result = env.decision_step(action)
-            total += result.reward
-            obs = result.obs
-        ttts.append(-total / scenario.sim.reward_scale)
-    return ttts
+    """TTT of one episode per seed under the policy's deterministic action."""
+    return [run_episode(scenario, lambda obs: policy_act(params, obs), seed).ttt
+            for seed in seeds]
 
 
 def train(scenario: Scenario, config: TrainConfig = TrainConfig()):
@@ -319,9 +304,7 @@ def train(scenario: Scenario, config: TrainConfig = TrainConfig()):
                 rewards[e] = result.reward
                 dones[e] = float(result.done)
                 obs_now[e] = env.reset(next_episode_seed()) if result.done else result.obs
-            if config.normalize_rewards:
-                rewards = normalizer.update(rewards, dones)
-            rew_buf[:, step] = rewards
+            rew_buf[:, step] = normalizer.update(rewards, dones)
             done_buf[:, step] = dones
 
         bootstrap = ac.value(obs_now)
@@ -337,9 +320,6 @@ def train(scenario: Scenario, config: TrainConfig = TrainConfig()):
             obs=obs_buf.reshape(E * S, D),
             actions_u=u_buf.reshape(E * S, A),
             log_probs=logp_buf.reshape(E * S),
-            rewards=rew_buf.reshape(E * S),
-            values=val_buf.reshape(E * S),
-            dones=done_buf.reshape(E * S),
             advantages=adv_buf.reshape(E * S),
             returns=ret_buf.reshape(E * S),
         )

@@ -1,7 +1,7 @@
 """Exponential-weight route-choice dynamics.
 
 Each vehicle class (human / autonomous) keeps a share vector over the paths
-of its O/D pair. Every step the share of a path is reweighted by
+of its O/D pair; the two vectors are the rows of a (2, n_paths) array. Every step the share of a path is reweighted by
 exp(-mu * latency) and renormalized, so slower paths lose mass at a rate set
 by the class's rationality factor mu.
 
@@ -12,24 +12,10 @@ already en route keep the path they were assigned at injection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 HUMAN, AUTO = 0, 1
-
-
-@dataclass
-class PathShares:
-    """Per-class path shares for one O/D pair. Row 0: human, row 1: auto."""
-
-    shares: np.ndarray  # shape (2, n_paths), each row on the simplex
-    mu_h: float
-    mu_a: float
-
-    @classmethod
-    def uniform(cls, n_paths: int, mu_h: float, mu_a: float) -> "PathShares":
-        return cls(shares=np.full((2, n_paths), 1.0 / n_paths), mu_h=mu_h, mu_a=mu_a)
 
 
 def logit_update(shares: np.ndarray, latencies: np.ndarray, mu: float) -> np.ndarray:
@@ -66,9 +52,11 @@ def logit_update(shares: np.ndarray, latencies: np.ndarray, mu: float) -> np.nda
     return weights / weights.sum()
 
 
-def step_shares(state: PathShares, path_latencies: np.ndarray) -> PathShares:
-    """Advance both class share vectors one step using the same latencies."""
-    new = np.empty_like(state.shares)
-    new[HUMAN] = logit_update(state.shares[HUMAN], path_latencies, state.mu_h)
-    new[AUTO] = logit_update(state.shares[AUTO], path_latencies, state.mu_a)
-    return PathShares(shares=new, mu_h=state.mu_h, mu_a=state.mu_a)
+def step_shares(shares: np.ndarray, path_latencies: np.ndarray,
+                mu_h: float, mu_a: float) -> np.ndarray:
+    """Advance both rows of a (2, n_paths) share array one step on the same
+    latencies, each with its class's rationality factor."""
+    new = np.empty_like(shares)
+    new[HUMAN] = logit_update(shares[HUMAN], path_latencies, mu_h)
+    new[AUTO] = logit_update(shares[AUTO], path_latencies, mu_a)
+    return new

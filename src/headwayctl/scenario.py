@@ -70,13 +70,15 @@ class SimConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-        if self.action_period_s % self.dt_s != 0:
-            raise ConfigError("action period must be a multiple of dt")
+        # Whole numbers of steps, up to float rounding: 0.7 / 0.1 is 6.999...
+        for name in ("horizon_s", "action_period_s"):
+            steps = getattr(self, name) / self.dt_s
+            whole = round(steps) if math.isfinite(steps) else 0
+            if not (1 <= whole <= MAX_EPISODE_STEPS and math.isclose(steps, whole)):
+                raise ConfigError(f"{name} / dt_s = {steps} is not a whole number of steps "
+                                  f"between 1 and the limit of {MAX_EPISODE_STEPS}")
         if not 0.0 <= self.initial_jitter < 1.0:
             raise ConfigError("initial_jitter must lie in [0, 1)")
-        if self.n_steps > MAX_EPISODE_STEPS:
-            raise ConfigError(f"horizon_s / dt_s gives {self.n_steps} steps, "
-                              f"more than the limit of {MAX_EPISODE_STEPS}")
 
     @property
     def n_steps(self) -> int:
@@ -174,7 +176,11 @@ BUILTIN_SCENARIOS = {
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
+    """The JSON document of a scenario; the format holds one O/D pair."""
     net = scenario.network
+    if len(net.od_pairs) != 1:
+        raise ConfigError(f"the scenario format holds one O/D pair, this scenario has "
+                          f"{len(net.od_pairs)}")
     od = net.od_pairs[0]
     demand = scenario.demands[0]
     sim = scenario.sim

@@ -1,5 +1,7 @@
 """Engine behavior: conservation, caps, determinism, latency bookkeeping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -333,3 +335,39 @@ class TestTraceShape:
         rows = trace_to_csv_rows(trace)
         assert len(rows) == sc.sim.n_steps * sc.network.n_links
         assert len(rows[0]) == len(TRACE_CSV_HEADER)
+
+
+class TestStepIndexTime:
+    """Time is the step index: t_s = step_index * dt_s, never accumulated."""
+
+    def scenario(self, dt_s, horizon_s, action_period_s):
+        sc = braess5_scenario()
+        return replace(sc, sim=replace(sc.sim, dt_s=dt_s, horizon_s=horizon_s,
+                                       action_period_s=action_period_s))
+
+    def test_tenth_second_steps_end_at_the_horizon(self):
+        # Summing 0.1 seven times gives 0.7000000000000001 > 0.7: a float
+        # clock would run an eighth step.
+        sc = self.scenario(0.1, 0.7, 0.1)
+        assert sc.sim.n_steps == 7
+        trace = run_episode(sc, lambda obs: uniform_headway_policy(sc.network), seed=0)
+        assert np.array_equal(trace.t_s, np.arange(7) * 0.1)
+
+    def test_trailing_partial_period_is_a_decision(self):
+        sc = self.scenario(60.0, 1_500.0, 600.0)  # 25 steps, periods of 10
+        env = TrafficEnv(sc)
+        assert env.n_decisions == 3
+        calls = []
+
+        def controller(obs):
+            calls.append(obs)
+            return uniform_headway_policy(sc.network)
+
+        trace = run_episode(sc, controller, seed=0)
+        assert len(calls) == 3 and trace.count.shape[0] == 25
+
+    @pytest.mark.parametrize("field, value", [("horizon_s", 0.75), ("action_period_s", 0.25),
+                                              ("horizon_s", 0.01)])
+    def test_fractional_step_counts_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="whole number of steps"):
+            SimConfig(**{"dt_s": 0.1, "horizon_s": 2.0, "action_period_s": 0.1, field: value})

@@ -73,7 +73,7 @@ def loop_step(env):
     for od_idx, ids in enumerate(od_paths):
         for local, gp in enumerate(ids):
             for cls in (HUMAN, AUTO):
-                amount = queues[od_idx, cls] * env.shares[od_idx].shares[cls, local]
+                amount = queues[od_idx, cls] * env.shares[od_idx][cls, local]
                 inject_attempt[gp, cls] = amount
                 claim[paths[gp][0]] += amount
 
@@ -112,7 +112,7 @@ def loop_step(env):
 
     scaled = path_lat / sim.latency_unit_s
     for od_idx, ids in enumerate(od_paths):
-        env.shares[od_idx] = step_shares(env.shares[od_idx], scaled[ids])
+        env.shares[od_idx] = step_shares(env.shares[od_idx], scaled[ids], sim.mu_h, sim.mu_a)
     env.t_s += dt
     env.step_index += 1
     row.update(reward=env.current_reward(), injected_cum=env.injected,
@@ -168,10 +168,10 @@ def test_array_step_matches_loop_step_bit_for_bit(name, seed):
             assert_same_bits(env.counts, ref.counts, "counts")
             assert_same_bits(env.queues, ref.queues, "queues")
             for mine, theirs in zip(env.shares, ref.shares):
-                assert_same_bits(mine.shares, theirs.shares, "shares")
+                assert_same_bits(mine, theirs, "shares")
             rationed += ref.queues.sum() > 0.0
             exits += info["exited_step"] > 0.0
-            dead_paths += any((s.shares == 0.0).any() for s in ref.shares)
+            dead_paths += any((s == 0.0).any() for s in ref.shares)
             if env.done:
                 break
     # The comparison covered rationed inflow, exits and paths whose share

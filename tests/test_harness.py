@@ -77,6 +77,18 @@ class TestSimulate:
     def test_missing_out_exit_2(self, short_scenario):
         assert main(["simulate", "--scenario", short_scenario]) == EXIT_USAGE
 
+    def test_tenth_second_steps(self, tmp_path):
+        # 0.1-s steps and actions: a float clock would reject the action at
+        # t = 0.30000000000000004 as off the 0.1-s grid.
+        def edit(doc):
+            doc["sim"].update(dt_s=0.1, horizon_s=2.0)
+            doc["control"]["action_period_s"] = 0.1
+        path = edited_scenario(tmp_path, edit)
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+        rows = (out / "trace_seed0.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + 20 * 5  # header + steps*links
+
 
 class TestManifestReplay:
     def test_simulate_replay_is_byte_identical(self, short_scenario, tmp_path):
@@ -165,10 +177,10 @@ class TestSweeps:
         sc = replace(sc, sim=replace(sc.sim, horizon_s=1800.0, mu_h=0.0, mu_a=0.0))
         env = TrafficEnv(sc)
         env.reset(0)
-        before = env.shares[0].shares.copy()
+        before = env.shares[0].copy()
         while not env.done:
             env.decision_step(np.full(5, 6.0))
-        assert np.array_equal(env.shares[0].shares, before)
+        assert np.array_equal(env.shares[0], before)
 
     def test_sweep_alpha_table(self, short_scenario, tmp_path):
         out = tmp_path / "alpha"
@@ -188,6 +200,23 @@ class TestSweeps:
         policy_ttt, uniform_ttt, min_ttt = float(row[1]), float(row[3]), float(row[5])
         assert policy_ttt == pytest.approx(uniform_ttt, rel=1e-9)
         assert min_ttt == pytest.approx(uniform_ttt, rel=1e-9)
+
+    def test_sweep_alpha_budget_zero_policy_is_the_controller(self, short_scenario, tmp_path):
+        # The untrained policy column: train --budget 0 writes the initial
+        # weights, and sweep-alpha runs that checkpoint like evaluate does.
+        ckpt = tmp_path / "train0" / "checkpoint.json"
+        assert main(["train", "--scenario", short_scenario, "--budget", "0", "--seed", "3",
+                     "--out", str(ckpt.parent)]) == EXIT_OK
+        controller = f"policy:{ckpt}"
+        seeds = ["--seed", "0,1"]
+        assert main(["evaluate", "--scenario", short_scenario, "--controller", controller,
+                     *seeds, "--out", str(tmp_path / "eval")]) == EXIT_OK
+        assert main(["sweep-alpha", "--scenario", short_scenario, "--controller", controller,
+                     "--alpha", "0.8", *seeds, "--out", str(tmp_path / "alpha")]) == EXIT_OK
+        summary = (tmp_path / "eval" / "summary.csv").read_text().splitlines()
+        mean = next(r for r in summary if r.startswith("mean,")).split(",")[1]
+        row = (tmp_path / "alpha" / "sweep_alpha.csv").read_text().splitlines()[1].split(",")
+        assert float(row[1]) == float(mean)
 
     def test_sweep_alpha_out_of_range_exit_2(self, short_scenario, tmp_path):
         code = main(["sweep-alpha", "--scenario", short_scenario,
@@ -212,6 +241,47 @@ class TestSweeps:
         assert gaps[0] <= gaps[1] <= gaps[2]
 
 
+FLAGS = {
+    "simulate": {"--scenario", "--out", "--from-manifest", "--seed", "--controller"},
+    "evaluate": {"--scenario", "--out", "--from-manifest", "--seed", "--controller"},
+    "train": {"--scenario", "--out", "--from-manifest", "--seed", "--budget", "--n-steps",
+              "--n-envs"},
+    "sweep-mu": {"--scenario", "--out", "--from-manifest", "--seed", "--controller",
+                 "--budget", "--n-steps", "--n-envs", "--mu"},
+    "sweep-alpha": {"--scenario", "--out", "--from-manifest", "--seed", "--controller",
+                    "--budget", "--n-steps", "--n-envs", "--alpha"},
+    "heatmap": {"--scenario", "--out", "--from-manifest", "--trace"},
+}
+
+
+class TestCommandFlags:
+    def test_each_command_declares_only_its_own_flags(self):
+        import argparse
+
+        from headwayctl.harness import build_parser
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = {name: {opt for action in p._actions for opt in action.option_strings}
+                    - {"-h", "--help"} for name, p in sub.choices.items()}
+        assert declared == FLAGS
+        assert sum(map(len, declared.values())) == 39
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--controller", "min"],
+        ["heatmap", "--seed", "1"],
+        ["simulate", "--mu", "0.1"],
+        ["evaluate", "--budget", "64"],
+        ["sweep-mu", "--alpha", "0.5"],
+        ["sweep-alpha", "--trace", "t.csv"],
+    ])
+    def test_foreign_flag_is_a_usage_error(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == EXIT_USAGE
+        assert not (tmp_path / "x").exists()
+
+
 class TestHeatmap:
     def test_svg_from_trace(self, short_scenario, tmp_path):
         run = tmp_path / "run"
@@ -224,6 +294,10 @@ class TestHeatmap:
         assert svg.startswith("<svg")
         assert svg.count("<rect") == 1 + 30 * 5  # background + cells
         assert "time (min)" in svg
+
+    def test_missing_trace_flag_exit_2(self, short_scenario, tmp_path):
+        assert main(["heatmap", "--scenario", short_scenario,
+                     "--out", str(tmp_path / "hm")]) == EXIT_USAGE
 
     def test_empty_trace_exit_2(self, short_scenario, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -295,6 +369,11 @@ class TestFailFastScenario:
         def edit(doc):
             doc["sim"][key] = -0.1
         self.assert_rejected(tmp_path, edit, key)
+
+    def test_horizon_not_a_whole_number_of_steps(self, tmp_path):
+        def edit(doc):
+            doc["sim"]["horizon_s"] = 1830.0  # 30.5 one-minute steps
+        self.assert_rejected(tmp_path, edit, "whole number of steps")
 
     def test_absurd_horizon(self, tmp_path):
         def edit(doc):

@@ -208,6 +208,16 @@ class TestScenarioIO:
         assert set(link0) >= {"id", "from", "to", "length_m", "lanes", "vff_mps", "jam_spacing_m"}
         assert set(doc["control"]) == {"beta_min_m", "beta_max_m", "beta_h_m", "action_period_s"}
 
+    def test_second_od_pair_is_not_dropped(self, tmp_path):
+        from tests.test_engine_reference import two_od_scenario
+
+        sc = two_od_scenario()
+        with pytest.raises(ConfigError, match="one O/D pair"):
+            scenario_to_dict(sc)
+        with pytest.raises(ConfigError, match="one O/D pair"):
+            save_scenario(sc, tmp_path / "two_od.json")
+        assert not (tmp_path / "two_od.json").exists()
+
 
 def test_critical_below_jam_for_all_actions():
     from headwayctl.fundamental import critical_density

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from headwayctl.engine import TrafficEnv, run_episode
 from headwayctl.nn import (
     Adam,
     flatten_arrays,
@@ -14,15 +15,18 @@ from headwayctl.nn import (
     mlp_forward,
     unflatten_like,
 )
+from headwayctl.policies import PolicyParams, policy_act
 from headwayctl.ppo import (
     ActorCritic,
     RolloutBuffer,
     TrainConfig,
     _ReturnNormalizer,
     compute_gae,
+    evaluate_policy,
     loss_and_grads,
     train,
 )
+from headwayctl.scenario import braess5_scenario
 from tests.test_engine import single_link_scenario
 
 
@@ -286,6 +290,18 @@ class TestTrainLoop:
             TrainConfig(n_steps=100, batch_size=64)
         with pytest.raises(ValueError):
             TrainConfig(n_steps=64, batch_size=8, n_envs=5)
+
+    def test_evaluate_policy_is_run_episode_ttt(self):
+        # One TTT definition: evaluation runs the same episode as
+        # run_episode, under the policy's deterministic action.
+        sc = braess5_scenario()
+        net = sc.network
+        params = PolicyParams.new(TrafficEnv(sc).obs_dim, net.n_links,
+                                  np.random.default_rng(0), beta_min_m=net.beta_min_m,
+                                  beta_max_m=net.beta_max_m)
+        seeds = [0, 1, 2, 3]
+        want = [run_episode(sc, lambda obs: policy_act(params, obs), s).ttt for s in seeds]
+        assert evaluate_policy(sc, params, seeds) == want
 
 
 class TestAdam:

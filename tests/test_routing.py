@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headwayctl.routing import AUTO, HUMAN, PathShares, logit_update, step_shares
+from headwayctl.routing import AUTO, HUMAN, logit_update, step_shares
 
 
 def test_uniform_weights_preserve_distribution():
@@ -93,22 +93,23 @@ def test_simplex_preserved(n, mu, seed):
     assert abs(out.sum() - 1.0) <= 1e-12
 
 
+def uniform_shares(n_paths):
+    return np.full((2, n_paths), 1.0 / n_paths)
+
+
 class TestStepShares:
     def test_equal_mu_keeps_classes_identical(self):
-        state = PathShares.uniform(3, mu_h=0.2, mu_a=0.2)
-        out = step_shares(state, np.array([3.0, 1.0, 2.0]))
-        assert np.array_equal(out.shares[HUMAN], out.shares[AUTO])
+        out = step_shares(uniform_shares(3), np.array([3.0, 1.0, 2.0]), mu_h=0.2, mu_a=0.2)
+        assert np.array_equal(out[HUMAN], out[AUTO])
 
     def test_more_rational_class_shifts_harder(self):
-        state = PathShares.uniform(2, mu_h=0.05, mu_a=0.5)
-        out = step_shares(state, np.array([10.0, 20.0]))
-        assert out.shares[AUTO][0] >= out.shares[HUMAN][0]
+        out = step_shares(uniform_shares(2), np.array([10.0, 20.0]), mu_h=0.05, mu_a=0.5)
+        assert out[AUTO][0] >= out[HUMAN][0]
 
     def test_single_path_stays_one(self):
-        state = PathShares.uniform(1, mu_h=0.1, mu_a=0.1)
-        out = step_shares(state, np.array([123.0]))
-        assert out.shares[HUMAN] == pytest.approx([1.0], rel=1e-12)
-        assert out.shares[AUTO] == pytest.approx([1.0], rel=1e-12)
+        out = step_shares(uniform_shares(1), np.array([123.0]), mu_h=0.1, mu_a=0.1)
+        assert out[HUMAN] == pytest.approx([1.0], rel=1e-12)
+        assert out[AUTO] == pytest.approx([1.0], rel=1e-12)
 
 
 def masked_logit_update(shares, latencies, mu):
