@@ -26,7 +26,7 @@ print()
 print("TTT vs autonomy fraction (min-platooning relative to uniform):")
 print("the larger the controllable share, the more headway control moves")
 for alpha in (0.0, 0.2, 0.5, 0.8, 1.0):
-    sc = replace(base, demands=tuple(replace(d, autonomy_fraction=alpha) for d in base.demands))
+    sc = replace(base, demand=replace(base.demand, autonomy_fraction=alpha))
     ttts = {}
     for name in ("uniform", "min"):
         ctrl = make_controller(name, sc.network)

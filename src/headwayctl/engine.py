@@ -18,7 +18,11 @@ Steps 2 and 3 have no Python loops over paths or links: index tables built
 once per engine (one row per (link, path) cell on a path) turn the transfer,
 rationing and queue drain into array arithmetic that performs the same
 floating-point operations, in the same order, as a per-cell loop would.
-One engine instance is single-writer and holds one episode at a time.
+
+A network has one O/D pair: one (human, auto) origin queue and one
+(2, n_paths) share array. ``step_sim`` returns its trace row and
+``decision_step`` the observation after its action period. Episode state
+exists from ``reset(seed)`` on; one engine holds one episode at a time.
 """
 
 from __future__ import annotations
@@ -114,14 +118,8 @@ class TrafficEnv:
         self._jam_count = self._jam * self._length
         self._jam_tolerance = _NEGATIVE_TOL * np.maximum(self._jam_count, 1.0)
 
-        # Global path table across O/D pairs; each pair's paths are one
-        # contiguous slice of it.
-        self._paths = [tuple(p.links) for od in net.od_pairs for p in od.paths]
+        self._paths = [tuple(p.links) for p in net.od_pairs[0].paths]
         self.n_paths = len(self._paths)
-        n_od_paths = [len(od.paths) for od in net.od_pairs]
-        self._path_od = np.repeat(np.arange(len(n_od_paths)), n_od_paths)
-        ends = np.cumsum(n_od_paths).tolist()
-        self._od_slices = [slice(end - n, end) for n, end in zip(n_od_paths, ends)]
         self._first_link = np.array([links[0] for links in self._paths], dtype=int)
 
         # Index tables for the loop-free step. A cell is one (link, path)
@@ -158,57 +156,42 @@ class TrafficEnv:
         self._claim_index = np.concatenate([self._cell_dest[transfer],
                                             np.repeat(self._first_link, 2)])
         self._exit_cells = np.nonzero(~transfer)[0]
-
-        self._peak_rate = sum(d.peak_rate for d in scenario.demands)
         self._beta_h = net.beta_h_m
-
-        self.reset(self.sim.seed)
 
     # ------------------------------------------------------------------
     # episode lifecycle
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
+    def reset(self, seed: int) -> np.ndarray:
         """Start a new episode; deterministic for a given seed."""
-        if seed is None:
-            seed = self.sim.seed
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)
 
         self.t_s = 0.0
         self.step_index = 0
         self.counts = np.zeros((self.n_links, self.n_paths, 2))
-        self.queues = np.zeros((len(self.net.od_pairs), 2))
+        self.queues = np.zeros(2)  # (human, auto) at the origin
         self.beta_a = np.full(self.n_links, self._beta_h)
-        # Per O/D pair, the (human, auto) x path route shares, uniform at reset.
-        self.shares = [np.full((2, len(od.paths)), 1.0 / len(od.paths))
-                       for od in self.net.od_pairs]
+        # (human, auto) x path route shares, uniform at reset.
+        self.shares = np.full((2, self.n_paths), 1.0 / self.n_paths)
         self.injected = 0.0
         self.exited = 0.0
 
+        alpha = self.scenario.demand.autonomy_fraction
         for link_id, base in sorted(self.sim.initial_counts.items()):
             count = base
             if self.sim.initial_jitter > 0.0:
                 count = base * (1.0 + self.sim.initial_jitter * rng.uniform(-1.0, 1.0))
             if count / self._length[link_id] > self._jam[link_id]:
                 raise ConfigError(f"initial count on link {link_id} exceeds jam density")
-            self._seed_link(link_id, count)
+            # Split the cohort across the paths that traverse this link, per
+            # the (uniform) shares, and across classes by the autonomy fraction.
+            carriers = [p for p, links in enumerate(self._paths) if link_id in links]
+            weights = self.shares[HUMAN, carriers]
+            weights = weights / weights.sum()
+            self.counts[link_id, carriers, AUTO] += count * weights * alpha
+            self.counts[link_id, carriers, HUMAN] += count * weights * (1.0 - alpha)
         self.injected += float(self.counts.sum())
         return self.observe()
-
-    def _seed_link(self, link_id: int, count: float) -> None:
-        # Split the initial cohort across the paths that traverse this link
-        # (per current shares, i.e. uniformly at reset) and across classes
-        # by the O/D autonomy fraction.
-        carriers = [gp for gp, links in enumerate(self._paths) if link_id in links]
-        if not carriers:
-            raise ConfigError(f"initial count on link {link_id}, which no path uses")
-        weights = np.concatenate([s[HUMAN] for s in self.shares])[carriers]
-        weights = weights / weights.sum()
-        for gp, w in zip(carriers, weights):
-            od_idx = self._path_od[gp]
-            alpha_od = self.scenario.demands[od_idx].autonomy_fraction
-            self.counts[link_id, gp, AUTO] += count * w * alpha_od
-            self.counts[link_id, gp, HUMAN] += count * w * (1.0 - alpha_od)
 
     # ------------------------------------------------------------------
     # control
@@ -234,8 +217,9 @@ class TrafficEnv:
     # ------------------------------------------------------------------
     # dynamics
 
-    def step_sim(self) -> StepResult:
-        """Advance one dt: transfer, inject, reroute, reward."""
+    def step_sim(self) -> dict:
+        """Advance one dt: transfer, inject, reroute, reward; returns the
+        step's trace row."""
         sim = self.sim
         dt = sim.dt_s
         counts = self.counts
@@ -258,19 +242,17 @@ class TrafficEnv:
         send_total = send[:, 0] + send[:, 1]
 
         queued = float(self.queues.sum())
-        # Demand arrives at the origin queues before the drain attempt.
-        arrivals = np.zeros(self.queues.shape)
-        for od_idx, profile in enumerate(self.scenario.demands):
-            vol = demand_at(profile, self.t_s) * dt
-            arrivals[od_idx, AUTO] = vol * profile.autonomy_fraction
-            arrivals[od_idx, HUMAN] = vol * (1.0 - profile.autonomy_fraction)
+        # Demand arrives at the origin queue before the drain attempt.
+        demand = self.scenario.demand
+        vol = demand_at(demand, self.t_s) * dt
+        arrivals = np.array([vol * (1.0 - demand.autonomy_fraction),  # (human, auto)
+                             vol * demand.autonomy_fraction])
         self.queues += arrivals
         self.injected += float(arrivals.sum())
 
         # Claims on each receiving link: cohort transfers plus queue drains,
         # accumulated in path order (bincount adds sequentially).
-        shares = np.concatenate(self.shares, axis=1).T  # (path, class)
-        inject_attempt = self.queues.take(self._path_od, axis=0) * shares
+        inject_attempt = self.queues * self.shares.T  # (path, class)
         claim = np.bincount(
             self._claim_index,
             np.concatenate([send_total.take(self._claim_cells), inject_attempt.ravel()]),
@@ -291,7 +273,8 @@ class TrafficEnv:
         inflow = np.concatenate([moved, drained]).take(self._upstream, axis=0)
         counts.put(self._cell_elems, np.where(self._inflow_first, (cells + inflow) - moved,
                                               (cells - moved) + inflow))
-        np.subtract.at(self.queues, self._path_od, drained)
+        # The queue gives up each path's drain in turn, path by path.
+        self.queues = np.subtract.reduce(np.concatenate([self.queues[None], drained]))
         # Left to right, as a running total (sum() would add pairwise).
         exited_now = float(np.add.accumulate(send_total.take(self._exit_cells))[-1])
         self.exited += exited_now
@@ -301,10 +284,8 @@ class TrafficEnv:
 
         # Routing reacts to the latencies realized this step. The knob
         # latency_unit_s sets the time unit mu is expressed in.
-        scaled = path_lat / sim.latency_unit_s
-        for od_idx, paths in enumerate(self._od_slices):
-            self.shares[od_idx] = step_shares(self.shares[od_idx], scaled[paths],
-                                              sim.mu_h, sim.mu_a)
+        self.shares = step_shares(self.shares, path_lat / sim.latency_unit_s,
+                                  sim.mu_h, sim.mu_a)
 
         # Time is the step index; t_s is derived from it, never accumulated.
         t_s = self.t_s
@@ -314,7 +295,7 @@ class TrafficEnv:
 
         # The arrays are fresh every step and beta_a is only ever rebound,
         # so the trace row can hold them without copies.
-        info = {
+        return {
             "t_s": t_s,
             "count": n_link,
             "density": rho,
@@ -329,24 +310,24 @@ class TrafficEnv:
             "exited_cum": self.exited,
             "exited_step": exited_now,
         }
-        return StepResult(obs=self.observe(), reward=reward, done=self.done, info=info)
 
     def decision_step(self, beta_a_m: np.ndarray) -> StepResult:
         """Apply an action and run one full action period of sim steps.
 
-        The returned reward is the sum over the inner steps; ``info`` holds
-        whether the action needed clamping and the inner steps' trace rows.
-        The period ends early at the end of the episode.
+        The returned reward is the sum over the inner steps and ``obs`` the
+        observation after the last of them; ``info`` holds whether the action
+        needed clamping and the inner steps' trace rows. The period ends
+        early at the end of the episode.
         """
         info = {"action_clamped": self.apply_action(beta_a_m), "rows": []}
         total = 0.0
         for _ in range(self.sim.steps_per_action):
-            result = self.step_sim()
-            total += result.reward
-            info["rows"].append(result.info)
-            if result.done:
+            row = self.step_sim()
+            total += row["reward"]
+            info["rows"].append(row)
+            if self.done:
                 break
-        return StepResult(obs=result.obs, reward=total, done=result.done, info=info)
+        return StepResult(obs=self.observe(), reward=total, done=self.done, info=info)
 
     # ------------------------------------------------------------------
     # readouts
@@ -359,8 +340,8 @@ class TrafficEnv:
         n_link = self.counts.sum(axis=(1, 2))
         alpha = _ratio(self.counts[:, :, AUTO].sum(axis=1), n_link)
         t_part = min(self.t_s / self.sim.horizon_s, 1.0)
-        rate = sum(demand_at(d, self.t_s) for d in self.scenario.demands)
-        rate_part = min(rate / self._peak_rate, 1.0) if self._peak_rate > 0 else 0.0
+        peak = self.scenario.demand.peak_rate
+        rate_part = min(demand_at(self.scenario.demand, self.t_s) / peak, 1.0) if peak > 0 else 0.0
         # One clamp for all parts: the last two already lie in [0, 1].
         obs = np.concatenate([n_link / self._jam_count, alpha, [t_part, rate_part]])
         return np.minimum(np.maximum(obs, 0.0), 1.0)

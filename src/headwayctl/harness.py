@@ -92,8 +92,7 @@ def _with_mu(scenario: Scenario, mu: float) -> Scenario:
 
 
 def _with_alpha(scenario: Scenario, alpha: float) -> Scenario:
-    demands = tuple(replace(d, autonomy_fraction=alpha) for d in scenario.demands)
-    return replace(scenario, demands=demands)
+    return replace(scenario, demand=replace(scenario.demand, autonomy_fraction=alpha))
 
 
 def _out_dir(options: dict) -> FsPath:
@@ -146,10 +145,11 @@ def cmd_simulate(options: dict) -> int:
 
 def cmd_train(options: dict) -> int:
     scenario = load_scenario(options["scenario"])
+    config = _train_config(options)
     out = _out_dir(options)
     if options["budget"] == 0:
         print("warning: --budget 0, writing an untrained checkpoint", file=sys.stderr)
-    params, curve = train(scenario, _train_config(options))
+    params, curve = train(scenario, config)
     save_checkpoint(params, out / "checkpoint.json")
     write_csv(out / "learning_curve.csv", LEARNING_CURVE_HEADER,
               [[row[k] for k in LEARNING_CURVE_HEADER] for row in curve])
@@ -234,7 +234,11 @@ def cmd_heatmap(options: dict) -> int:
 # argument plumbing
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    """Comma-separated seeds: at least one, none negative."""
+    seeds = [int(x) for x in text.split(",") if x.strip()]
+    if not seeds or min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"expected non-negative seeds, got {text!r}")
+    return seeds
 
 
 def _float_list(text: str) -> list[float]:

@@ -1,4 +1,4 @@
-"""Road network model: links, O/D pairs, path enumeration, demand profiles.
+"""Road network model: links, the O/D pair, path enumeration, demand profiles.
 
 Networks are immutable after construction and safe to share between
 concurrently running simulations.
@@ -51,10 +51,6 @@ class Link:
     def jam_density(self) -> float:
         """Maximum density (veh/m), constant regardless of headway control."""
         return self.lanes / self.jam_spacing_m
-
-    @property
-    def free_flow_latency_s(self) -> float:
-        return self.length_m / self.free_flow_speed_mps
 
 
 @dataclass(frozen=True)
@@ -121,7 +117,7 @@ def demand_at(profile: DemandProfile, t_s: float) -> float:
 
 @dataclass(frozen=True)
 class Network:
-    """Directed link graph plus the headway control envelope.
+    """Directed link graph, its one O/D pair and the headway control envelope.
 
     ``beta_h_m`` is the (uncontrolled) human headway; autonomous headways are
     per-link actions bounded to [beta_min_m, beta_max_m].
@@ -134,6 +130,8 @@ class Network:
     beta_h_m: float
 
     def __post_init__(self):
+        if len(self.od_pairs) != 1:
+            raise ConfigError(f"a network holds one O/D pair, got {len(self.od_pairs)}")
         if not all(map(_finite_positive, (self.beta_min_m, self.beta_max_m, self.beta_h_m))):
             raise ConfigError("headways must be finite and positive")
         if not self.beta_min_m < self.beta_max_m:

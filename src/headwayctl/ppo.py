@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import TrafficEnv, run_episode
+from .engine import TrafficEnv, observation_size, run_episode
 from .nn import (
     Adam,
     LOG_STD_MAX,
@@ -28,6 +28,7 @@ from .nn import (
     mlp_backward,
     mlp_forward,
 )
+from .network import ConfigError
 from .policies import PolicyParams, policy_act, squash_to_bounds
 from .scenario import Scenario
 
@@ -51,13 +52,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0.0 < self.clip_range < 1.0:
-            raise ValueError("clip_range must lie in (0, 1)")
+            raise ConfigError("clip_range must lie in (0, 1)")
         if not 0.0 < self.gamma <= 1.0 or not 0.0 < self.gae_lambda <= 1.0:
-            raise ValueError("gamma and gae_lambda must lie in (0, 1]")
+            raise ConfigError("gamma and gae_lambda must lie in (0, 1]")
+        if min(self.n_envs, self.n_steps, self.batch_size) < 1 or self.total_steps < 0:
+            raise ConfigError(f"need n_envs, n_steps, batch_size >= 1 and total_steps >= 0: {self}")
         if self.n_steps % self.batch_size != 0:
-            raise ValueError("batch_size must divide n_steps")
+            raise ConfigError("batch_size must divide n_steps")
         if self.n_steps % self.n_envs != 0:
-            raise ValueError("n_envs must divide n_steps")
+            raise ConfigError("n_envs must divide n_steps")
 
 
 @dataclass
@@ -250,9 +253,9 @@ def train(scenario: Scenario, config: TrainConfig = TrainConfig()):
     the returned parameters are the best-so-far evaluation checkpoint.
     """
     rng = np.random.default_rng(config.seed)
-    probe = TrafficEnv(scenario)
     net = scenario.network
-    ac = ActorCritic.new(probe.obs_dim, net.n_links, net.beta_min_m, net.beta_max_m,
+    obs_dim = observation_size(net.n_links)
+    ac = ActorCritic.new(obs_dim, net.n_links, net.beta_min_m, net.beta_max_m,
                          config, rng)
 
     n_updates = config.total_steps // config.n_steps
@@ -275,7 +278,7 @@ def train(scenario: Scenario, config: TrainConfig = TrainConfig()):
     adam = Adam([p.shape for p in ac.param_list()], lr=config.learning_rate)
     best_ttt = math.inf
 
-    E, S, D, A = config.n_envs, steps_per_env, probe.obs_dim, net.n_links
+    E, S, D, A = config.n_envs, steps_per_env, obs_dim, net.n_links
     for update in range(1, n_updates + 1):
         obs_buf = np.zeros((E, S, D))
         u_buf = np.zeros((E, S, A))

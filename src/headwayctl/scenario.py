@@ -92,15 +92,16 @@ class SimConfig:
 @dataclass(frozen=True)
 class Scenario:
     network: Network
-    demands: tuple[DemandProfile, ...]  # aligned with network.od_pairs
+    demand: DemandProfile  # of the network's one O/D pair
     sim: SimConfig
 
     def __post_init__(self):
-        if len(self.demands) != len(self.network.od_pairs):
-            raise ConfigError("one demand profile per O/D pair required")
+        on_path = {l for p in self.network.od_pairs[0].paths for l in p.links}
         for link_id, count in self.sim.initial_counts.items():
             if not 0 <= link_id < self.network.n_links:
                 raise ConfigError(f"initial count for unknown link {link_id}")
+            if link_id not in on_path:
+                raise ConfigError(f"initial count on link {link_id}, which no path uses")
             link = self.network.links[link_id]
             if not (math.isfinite(count) and count >= 0):
                 raise ConfigError(f"initial count on link {link_id} must be finite and "
@@ -150,7 +151,7 @@ def _braess_scenario(network: Network, autonomy_fraction: float, peak_factor: fl
         mu_a=mu_a,
         seed=seed,
     )
-    return Scenario(network=network, demands=(demand,), sim=sim)
+    return Scenario(network=network, demand=demand, sim=sim)
 
 
 def braess5_scenario(autonomy_fraction: float = 0.8, peak_factor: float = DEFAULT_PEAK_FACTOR,
@@ -178,11 +179,8 @@ BUILTIN_SCENARIOS = {
 def scenario_to_dict(scenario: Scenario) -> dict:
     """The JSON document of a scenario; the format holds one O/D pair."""
     net = scenario.network
-    if len(net.od_pairs) != 1:
-        raise ConfigError(f"the scenario format holds one O/D pair, this scenario has "
-                          f"{len(net.od_pairs)}")
     od = net.od_pairs[0]
-    demand = scenario.demands[0]
+    demand = scenario.demand
     sim = scenario.sim
     return {
         "network": {
@@ -277,7 +275,7 @@ def _scenario_from_dict(data: dict) -> Scenario:
         latency_unit_s=float(sim_section.get("latency_unit_s", 60.0)),
         reward_scale=float(sim_section.get("reward_scale", 1e-3)),
     )
-    return Scenario(network=network, demands=(demand,), sim=sim)
+    return Scenario(network=network, demand=demand, sim=sim)
 
 
 def save_scenario(scenario: Scenario, path: str | FsPath) -> None:

@@ -31,7 +31,7 @@ def single_link_scenario(length_m=10_000.0, v=10.0, initial=100.0, horizon_s=6_0
         initial_jitter=0.0,
         reward_scale=reward_scale,
     )
-    return Scenario(network=net, demands=(demand,), sim=sim)
+    return Scenario(network=net, demand=demand, sim=sim)
 
 
 class TestReset:
@@ -85,8 +85,8 @@ class TestApplyAction:
         env.reset(0)
         env.apply_action(np.full(5, 2.5))
         for _ in range(env.sim.steps_per_action):
-            res = env.step_sim()
-            assert np.all(res.info["beta_a_m"] == 2.5)
+            row = env.step_sim()
+            assert np.all(row["beta_a_m"] == 2.5)
 
     def test_mid_period_action_rejected(self):
         env = TrafficEnv(braess5_scenario())
@@ -107,8 +107,8 @@ class TestStep:
         sc = single_link_scenario(initial=0.0)
         env = TrafficEnv(sc)
         env.reset(0)
-        res = env.step_sim()
-        assert res.reward == 0.0
+        row = env.step_sim()
+        assert row["reward"] == 0.0
         assert env.counts.sum() == 0.0
         assert env.queues.sum() == 0.0
 
@@ -175,7 +175,7 @@ class TestInvariantGuards:
 
     def test_nan_queue_raises(self):
         env = self.env_mid_episode()
-        env.queues[0, 0] = np.nan
+        env.queues[0] = np.nan
         self.assert_violation(env, "non-finite state")
 
     def test_count_above_jam_raises(self):
@@ -216,7 +216,7 @@ class TestReward:
         env.counts[0, 0, 1] = 2.0
         env.queues[:] = 0.0
         assert env.current_reward() == pytest.approx(-3.0, rel=1e-12)
-        env.queues[0, 0] = 3.0
+        env.queues[0] = 3.0
         assert env.current_reward() == pytest.approx(-6.0, rel=1e-12)
 
     def test_empty_state_zero(self):
@@ -295,6 +295,32 @@ class TestObserve:
             res = env.decision_step(rng.uniform(1.0, 10.0, size=5))
             obs = res.obs
             assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
+
+
+class TestWorkPerEpisode:
+    """The engine computes only what the decision step reads."""
+
+    def test_one_reset_and_one_observation_per_decision(self, monkeypatch):
+        calls = {"reset": 0, "observe": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _original=getattr(TrafficEnv, name)):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(TrafficEnv, name, counted)
+        sc = braess5_scenario()
+        run_episode(sc, lambda obs: uniform_headway_policy(sc.network), seed=0)
+        n_decisions = sc.sim.n_steps // sc.sim.steps_per_action
+        # One observation at reset, then one per decision step.
+        assert calls == {"reset": 1, "observe": n_decisions + 1}
+
+    def test_decision_step_obs_is_the_state_after_the_period(self):
+        env = TrafficEnv(braess5_scenario())
+        env.reset(4)
+        rng = np.random.default_rng(4)
+        while not env.done:
+            obs = env.decision_step(rng.uniform(1.0, 10.0, size=5)).obs
+            assert obs.tobytes() == env.observe().tobytes()
 
 
 class TestDeterminism:

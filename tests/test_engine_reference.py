@@ -7,16 +7,14 @@ step after step, including where links are rationed, paths exit, and route
 shares underflow to zero.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from headwayctl import fundamental as fd
 from headwayctl.engine import TrafficEnv
-from headwayctl.network import ODPair, demand_at, enumerate_paths
+from headwayctl.network import demand_at
 from headwayctl.routing import AUTO, HUMAN, step_shares
-from headwayctl.scenario import braess5_scenario, braess8_scenario, trapezoid_demand
+from headwayctl.scenario import braess5_scenario, braess8_scenario
 
 NOT_ON_PATH = -2
 EXIT = -1
@@ -28,11 +26,7 @@ def loop_step(env):
     dt = sim.dt_s
     length, jam = net.length_array(), net.jam_density_array()
     jam_count = jam * length
-    paths = [p.links for od in net.od_pairs for p in od.paths]
-    od_paths = []
-    for od in net.od_pairs:
-        start = sum(len(ids) for ids in od_paths)
-        od_paths.append(list(range(start, start + len(od.paths))))
+    paths = [p.links for p in net.od_pairs[0].paths]
     next_link = np.full((net.n_links, len(paths)), NOT_ON_PATH)
     for gp, links in enumerate(paths):
         for i, l in enumerate(links):
@@ -58,10 +52,10 @@ def loop_step(env):
     send = counts * out_frac[:, None, None]
 
     arrivals = np.zeros_like(queues)
-    for od_idx, profile in enumerate(env.scenario.demands):
-        vol = demand_at(profile, env.t_s) * dt
-        arrivals[od_idx, AUTO] = vol * profile.autonomy_fraction
-        arrivals[od_idx, HUMAN] = vol * (1.0 - profile.autonomy_fraction)
+    profile = env.scenario.demand
+    vol = demand_at(profile, env.t_s) * dt
+    arrivals[AUTO] = vol * profile.autonomy_fraction
+    arrivals[HUMAN] = vol * (1.0 - profile.autonomy_fraction)
     queues += arrivals
     env.injected += float(arrivals.sum())
 
@@ -70,12 +64,11 @@ def loop_step(env):
         for l in np.nonzero(next_link[:, gp] >= 0)[0]:
             claim[next_link[l, gp]] += send[l, gp, :].sum()
     inject_attempt = np.zeros((len(paths), 2))
-    for od_idx, ids in enumerate(od_paths):
-        for local, gp in enumerate(ids):
-            for cls in (HUMAN, AUTO):
-                amount = queues[od_idx, cls] * env.shares[od_idx][cls, local]
-                inject_attempt[gp, cls] = amount
-                claim[paths[gp][0]] += amount
+    for gp in range(len(paths)):
+        for cls in (HUMAN, AUTO):
+            amount = queues[cls] * env.shares[cls, gp]
+            inject_attempt[gp, cls] = amount
+            claim[paths[gp][0]] += amount
 
     space = jam_count - n_link
     ration = np.ones(net.n_links)
@@ -97,12 +90,11 @@ def loop_step(env):
                 counts[l, gp, :] -= moving * ration[dest]
                 counts[dest, gp, :] += moving * ration[dest]
     env.exited += exited_now
-    for od_idx, ids in enumerate(od_paths):
-        for gp in ids:
-            for cls in (HUMAN, AUTO):
-                moved = inject_attempt[gp, cls] * ration[paths[gp][0]]
-                counts[paths[gp][0], gp, cls] += moved
-                queues[od_idx, cls] -= moved
+    for gp in range(len(paths)):
+        for cls in (HUMAN, AUTO):
+            moved = inject_attempt[gp, cls] * ration[paths[gp][0]]
+            counts[paths[gp][0], gp, cls] += moved
+            queues[cls] -= moved
 
     for arr in (counts, queues):
         bad = arr < 0.0
@@ -110,9 +102,7 @@ def loop_step(env):
         arr[bad] = 0.0
     assert np.isfinite(counts).all() and np.isfinite(queues).all()
 
-    scaled = path_lat / sim.latency_unit_s
-    for od_idx, ids in enumerate(od_paths):
-        env.shares[od_idx] = step_shares(env.shares[od_idx], scaled[ids], sim.mu_h, sim.mu_a)
+    env.shares = step_shares(env.shares, path_lat / sim.latency_unit_s, sim.mu_h, sim.mu_a)
     env.t_s += dt
     env.step_index += 1
     row.update(reward=env.current_reward(), injected_cum=env.injected,
@@ -120,22 +110,10 @@ def loop_step(env):
     return row
 
 
-def two_od_scenario():
-    """braess8 plus a second O/D pair A -> D that shares links with the first."""
-    base = braess8_scenario()
-    net = base.network
-    od2 = ODPair(origin="A", destination="D", paths=tuple(enumerate_paths(net.links, "A", "D")))
-    demand2 = trapezoid_demand(0.5 * base.demands[0].peak_rate, 0.3)
-    return replace(base, network=replace(net, od_pairs=(net.od_pairs[0], od2)),
-                   demands=(base.demands[0], demand2),
-                   sim=replace(base.sim, initial_counts={0: 1000.0, 5: 3000.0}))
-
-
 SCENARIOS = {
     "braess5": braess5_scenario,
     "braess8": braess8_scenario,
     "braess5_fast_routing": lambda: braess5_scenario(mu_h=5.0, mu_a=2.0, peak_factor=9.0),
-    "two_od": two_od_scenario,
 }
 
 
@@ -161,17 +139,16 @@ def test_array_step_matches_loop_step_bit_for_bit(name, seed):
         env.apply_action(action)
         ref.apply_action(action)
         for _ in range(scenario.sim.steps_per_action):
-            info = env.step_sim().info
+            info = env.step_sim()
             want = loop_step(ref)
             for key, value in want.items():
                 assert_same_bits(info[key], value, f"{key} at step {ref.step_index}")
             assert_same_bits(env.counts, ref.counts, "counts")
             assert_same_bits(env.queues, ref.queues, "queues")
-            for mine, theirs in zip(env.shares, ref.shares):
-                assert_same_bits(mine, theirs, "shares")
+            assert_same_bits(env.shares, ref.shares, "shares")
             rationed += ref.queues.sum() > 0.0
             exits += info["exited_step"] > 0.0
-            dead_paths += any((s == 0.0).any() for s in ref.shares)
+            dead_paths += (ref.shares == 0.0).any()
             if env.done:
                 break
     # The comparison covered rationed inflow, exits and paths whose share

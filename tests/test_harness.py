@@ -171,16 +171,15 @@ class TestSweeps:
 
     def test_mu_zero_freezes_route_shares(self):
         from headwayctl.engine import TrafficEnv
-        from headwayctl.routing import AUTO, HUMAN
 
         sc = braess5_scenario(mu_h=0.0, mu_a=0.0)
         sc = replace(sc, sim=replace(sc.sim, horizon_s=1800.0, mu_h=0.0, mu_a=0.0))
         env = TrafficEnv(sc)
         env.reset(0)
-        before = env.shares[0].copy()
+        before = env.shares.copy()
         while not env.done:
             env.decision_step(np.full(5, 6.0))
-        assert np.array_equal(env.shares[0], before)
+        assert np.array_equal(env.shares, before)
 
     def test_sweep_alpha_table(self, short_scenario, tmp_path):
         out = tmp_path / "alpha"
@@ -282,6 +281,28 @@ class TestCommandFlags:
         assert not (tmp_path / "x").exists()
 
 
+class TestBadNumbers:
+    """Bad numbers on the command line are usage errors, caught before any run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", ","],
+        ["train", "--seed", ","],
+        ["simulate", "--seed", "-1"],
+        ["train", "--n-envs", "0"],
+        ["train", "--n-steps", "0"],
+        ["train", "--n-steps", "100", "--budget", "100"],
+        ["train", "--budget", "-5"],
+    ])
+    def test_exit_2(self, argv, tmp_path):
+        out = tmp_path / "out"
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:  # argparse rejects a flag's value
+            code = exc.code
+        assert code == EXIT_USAGE
+        assert not (out / "checkpoint.json").exists()
+
+
 class TestHeatmap:
     def test_svg_from_trace(self, short_scenario, tmp_path):
         run = tmp_path / "run"
@@ -379,6 +400,13 @@ class TestFailFastScenario:
         def edit(doc):
             doc["sim"]["horizon_s"] = 1e300
         self.assert_rejected(tmp_path, edit, "steps")
+
+    def test_initial_count_on_a_link_no_path_uses(self, tmp_path):
+        def edit(doc):
+            link = dict(doc["network"]["links"][0], id=5, **{"from": "D", "to": "E"})
+            doc["network"]["links"].append(link)
+            doc["sim"]["initial_counts"]["5"] = 10.0
+        self.assert_rejected(tmp_path, edit, "no path uses")
 
     def test_non_numeric_field(self, tmp_path):
         def edit(doc):

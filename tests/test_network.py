@@ -9,6 +9,8 @@ from headwayctl.network import (
     ConfigError,
     DemandProfile,
     Link,
+    Network,
+    ODPair,
     ScenarioError,
     ScenarioOverrides,
     build_braess_5,
@@ -208,15 +210,17 @@ class TestScenarioIO:
         assert set(link0) >= {"id", "from", "to", "length_m", "lanes", "vff_mps", "jam_spacing_m"}
         assert set(doc["control"]) == {"beta_min_m", "beta_max_m", "beta_h_m", "action_period_s"}
 
-    def test_second_od_pair_is_not_dropped(self, tmp_path):
-        from tests.test_engine_reference import two_od_scenario
-
-        sc = two_od_scenario()
+    @pytest.mark.parametrize("n_pairs", [0, 2])
+    def test_network_holds_exactly_one_od_pair(self, n_pairs):
+        # The engine, the scenario format and the builders all hold one
+        # O/D pair, so a network with any other number is refused when built.
+        net = build_braess_8()
+        od = net.od_pairs[0]
+        od2 = ODPair(origin="A", destination="D",
+                     paths=tuple(enumerate_paths(net.links, "A", "D")))
         with pytest.raises(ConfigError, match="one O/D pair"):
-            scenario_to_dict(sc)
-        with pytest.raises(ConfigError, match="one O/D pair"):
-            save_scenario(sc, tmp_path / "two_od.json")
-        assert not (tmp_path / "two_od.json").exists()
+            Network(links=net.links, od_pairs=(od, od2)[:n_pairs], beta_min_m=net.beta_min_m,
+                    beta_max_m=net.beta_max_m, beta_h_m=net.beta_h_m)
 
 
 def test_critical_below_jam_for_all_actions():
