@@ -200,7 +200,8 @@ class TrafficEnv:
         """Set per-link autonomous headways; returns True if clamping occurred.
 
         Only legal at action-period boundaries, which are counted in steps.
-        Out-of-bounds components are clamped to the network's headway bounds.
+        Out-of-bounds components are clamped to the network's headway bounds;
+        non-finite ones are refused, so every headway the step sees is valid.
         """
         period = self.sim.steps_per_action
         if self.step_index % period:
@@ -209,6 +210,8 @@ class TrafficEnv:
         beta = np.asarray(beta_a_m, dtype=float)
         if beta.shape != (self.n_links,):
             raise ValueError(f"action must have shape ({self.n_links},)")
+        if not np.isfinite(beta).all():
+            raise ValueError(f"action components must be finite, got {beta}")
         clipped = np.clip(beta, self.net.beta_min_m, self.net.beta_max_m)
         clamped = bool(np.any(clipped != beta))
         self.beta_a = clipped
@@ -279,7 +282,6 @@ class TrafficEnv:
         exited_now = float(np.add.accumulate(send_total.take(self._exit_cells))[-1])
         self.exited += exited_now
 
-        self._scrub_negatives()
         self._check_state()
 
         # Routing reacts to the latencies realized this step. The knob
@@ -362,18 +364,18 @@ class TrafficEnv:
     # ------------------------------------------------------------------
     # internal guards
 
-    def _scrub_negatives(self) -> None:
+    def _check_state(self) -> None:
+        """Zero the float noise below zero, then refuse states that should be
+        unreachable: non-finite, beyond the negative tolerance or above jam."""
         for arr in (self.counts, self.queues):
-            if arr.min() >= 0.0:  # nothing negative and no NaN: nothing to do
+            if arr.min() >= 0.0:  # nothing negative and no NaN: nothing to scrub
                 continue
             bad = arr < 0.0
-            if np.any(bad):
+            if bad.any():
                 worst = arr[bad].min()
                 if worst < -_NEGATIVE_TOL:
                     raise InvariantViolation(self._diagnostic(f"negative count {worst}"))
                 arr[bad] = 0.0
-
-    def _check_state(self) -> None:
         if not (np.isfinite(self.counts).all() and np.isfinite(self.queues).all()):
             raise InvariantViolation(self._diagnostic("non-finite state"))
         over = self.counts.sum(axis=(1, 2)) - self._jam_count
@@ -427,24 +429,14 @@ def run_episode(scenario: Scenario, controller, seed: int) -> EpisodeTrace:
     )
 
 
-def trace_to_csv_rows(trace: EpisodeTrace) -> list[list]:
+def trace_to_csv_rows(trace: EpisodeTrace) -> list[tuple]:
     """Flatten a trace to one row per (t, link), schema-stable."""
-    rows = []
     T, L = trace.count.shape
-    for ti in range(T):
-        for l in range(L):
-            rows.append([
-                trace.t_s[ti],
-                l,
-                trace.count[ti, l],
-                trace.density[ti, l],
-                trace.autonomy[ti, l],
-                int(trace.congested[ti, l]),
-                trace.flow_vps[ti, l],
-                trace.latency_s[ti, l],
-                trace.beta_a_m[ti, l],
-            ])
-    return rows
+    columns = [np.repeat(trace.t_s, L), np.tile(np.arange(L), T)]
+    columns += [a.ravel() for a in (trace.count, trace.density, trace.autonomy,
+                                     trace.congested, trace.flow_vps,
+                                     trace.latency_s, trace.beta_a_m)]
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 TRACE_CSV_HEADER = [

@@ -10,6 +10,13 @@ the headways kept by each vehicle class. Critical density is
     n_c = lanes / (alpha * beta_a + (1 - alpha) * beta_h)
 
 and capacity is v * n_c. Jam density stays constant per link.
+
+The functions the engine calls every step do arithmetic only; callers pass
+values validated where they enter. ``Network`` holds headways finite and
+positive and jam spacing below the minimum headway (so n_c < n_jam), ``Link``
+lengths and speeds finite and positive, ``DemandProfile`` the autonomy
+fraction in [0, 1], ``SimConfig`` the rationality factors non-negative, and
+``TrafficEnv.apply_action`` clamps each finite action into the headway bounds.
 """
 
 from __future__ import annotations
@@ -27,20 +34,13 @@ def critical_density(lanes, autonomy_fraction, beta_a_m, beta_h_m):
     The denominator is the average headway when autonomous vehicles keep
     ``beta_a_m`` meters and human-driven ones ``beta_h_m`` meters.
     """
-    beta_a_m = np.asarray(beta_a_m, dtype=float)
-    beta_h_m = np.asarray(beta_h_m, dtype=float)
-    if (beta_a_m <= 0.0).any() or (beta_h_m <= 0.0).any():
-        raise ValueError("headways must be positive")
-    alpha = np.asarray(autonomy_fraction, dtype=float)
-    if (alpha < 0.0).any() or (alpha > 1.0).any():
-        raise ValueError("autonomy fraction must lie in [0, 1]")
-    mean_headway = alpha * beta_a_m + (1.0 - alpha) * beta_h_m
-    return np.asarray(lanes, dtype=float) / mean_headway
+    alpha = autonomy_fraction
+    return lanes / (alpha * beta_a_m + (1.0 - alpha) * beta_h_m)
 
 
 def capacity(free_flow_speed_mps, crit_density):
     """Maximum sustainable flow (veh/s): speed times critical density."""
-    return np.asarray(free_flow_speed_mps, dtype=float) * np.asarray(crit_density, dtype=float)
+    return free_flow_speed_mps * crit_density
 
 
 def sending_flow(count, length_m, free_flow_speed_mps, crit_density, jam_density):
@@ -49,11 +49,7 @@ def sending_flow(count, length_m, free_flow_speed_mps, crit_density, jam_density
     Triangular-style diagram: linear in density up to the critical density,
     then decreasing to zero at jam density. Continuous at the critical point.
     """
-    count = np.asarray(count, dtype=float)
-    length_m = np.asarray(length_m, dtype=float)
-    v = np.asarray(free_flow_speed_mps, dtype=float)
-    n_c = np.asarray(crit_density, dtype=float)
-    n_jam = np.asarray(jam_density, dtype=float)
+    v, n_c, n_jam = free_flow_speed_mps, crit_density, jam_density
     rho = count / length_m
     free = v * rho
     congested = v * n_c * (n_jam - rho) / (n_jam - n_c)
@@ -63,7 +59,7 @@ def sending_flow(count, length_m, free_flow_speed_mps, crit_density, jam_density
 
 def congestion_state(density, crit_density):
     """0 when the link is in free flow (density <= critical), 1 otherwise."""
-    return (np.asarray(density, dtype=float) > np.asarray(crit_density, dtype=float)).astype(int)
+    return np.greater(density, crit_density).astype(int)
 
 
 def link_latency(flow, congested, length_m, free_flow_speed_mps, crit_density, jam_density):
@@ -73,18 +69,16 @@ def link_latency(flow, congested, length_m, free_flow_speed_mps, crit_density, j
     equals the free-flow value exactly when flow sits at capacity. Capped at
     LATENCY_CAP_S because the congested branch diverges as flow vanishes.
     """
-    flow = np.asarray(flow, dtype=float)
-    congested = np.asarray(congested)
-    d = np.asarray(length_m, dtype=float)
-    v = np.asarray(free_flow_speed_mps, dtype=float)
-    n_c = np.asarray(crit_density, dtype=float)
-    n_jam = np.asarray(jam_density, dtype=float)
-    free = d / v
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        jammed = d * (n_jam / flow + (n_c - n_jam) / (v * n_c))
-    jammed = np.where(flow > 0.0, jammed, np.inf)
-    out = np.where(congested > 0, np.minimum(jammed, LATENCY_CAP_S), free)
-    return out
+    d, v, n_c, n_jam = length_m, free_flow_speed_mps, crit_density, jam_density
+    # Only congested links with positive flow divide. A congested link with no
+    # flow reads inf, which the cap turns into LATENCY_CAP_S. On a congested
+    # link sending_flow gives either 0 or a flow far above where n_jam / flow
+    # could overflow.
+    congested = congested > 0
+    jam_over_flow = np.divide(n_jam, flow, out=np.full_like(flow, np.inf, dtype=float),
+                              where=congested & (flow > 0.0))
+    jammed = d * (jam_over_flow + (n_c - n_jam) / (v * n_c))
+    return np.where(congested, np.minimum(jammed, LATENCY_CAP_S), d / v)
 
 
 def path_latency(path_links, link_latencies) -> float:

@@ -233,12 +233,21 @@ def cmd_heatmap(options: dict) -> int:
 # ----------------------------------------------------------------------
 # argument plumbing
 
-def _int_list(text: str) -> list[int]:
-    """Comma-separated seeds: at least one, none negative."""
-    seeds = [int(x) for x in text.split(",") if x.strip()]
-    if not seeds or min(seeds) < 0:
-        raise argparse.ArgumentTypeError(f"expected non-negative seeds, got {text!r}")
+def _check_seeds(seeds) -> list[int]:
+    """A seed list from the command line or a replayed manifest: at least one
+    seed, none negative."""
+    if not (isinstance(seeds, list) and seeds
+            and all(type(s) is int and s >= 0 for s in seeds)):
+        raise ConfigError(f"expected non-negative seeds, got {seeds!r}")
     return seeds
+
+
+def _int_list(text: str) -> list[int]:
+    """Comma-separated seeds for ``--seed``."""
+    try:
+        return _check_seeds([int(x) for x in text.split(",") if x.strip()])
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _float_list(text: str) -> list[float]:
@@ -300,6 +309,8 @@ def main(argv=None) -> int:
             command, stored, stored_sha256 = _load_manifest(manifest)
             options = dict(stored)
             _check_replay_scenario(options, stored_sha256)
+            if "seeds" in options:
+                _check_seeds(options["seeds"])
         except (OSError, json.JSONDecodeError, KeyError, ConfigError, ScenarioError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -24,11 +24,8 @@ def logit_update(shares: np.ndarray, latencies: np.ndarray, mu: float) -> np.nda
     Weights are shifted by the minimum latency before exponentiation so the
     update is exactly invariant to adding a constant to all latencies and
     never underflows on the slow paths alone. Zero shares stay zero.
+    Both vectors are float arrays; ``SimConfig`` holds ``mu`` non-negative.
     """
-    shares = np.asarray(shares, dtype=float)
-    latencies = np.asarray(latencies, dtype=float)
-    if mu < 0:
-        raise ValueError("rationality factor must be non-negative")
     if shares.size and shares.min() > 0.0:
         # Fast path, every path carries mass: the masked form below without
         # the masks. min and max propagate NaN, so both finite means every

@@ -101,6 +101,16 @@ class TestApplyAction:
         with pytest.raises(ValueError):
             env.apply_action(np.full(4, 5.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_component_rejected(self, bad):
+        # np.clip would pass a NaN through to the step, which would then
+        # blame the state; the action is refused where it enters.
+        env = TrafficEnv(braess5_scenario())
+        env.reset(0)
+        with pytest.raises(ValueError, match="finite"):
+            env.apply_action(np.array([6.0, bad, 6.0, 6.0, 6.0]))
+        assert np.all(env.beta_a == env.net.beta_h_m)
+
 
 class TestStep:
     def test_empty_network_is_fixed_point(self):

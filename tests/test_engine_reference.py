@@ -146,6 +146,8 @@ def test_array_step_matches_loop_step_bit_for_bit(name, seed):
             assert_same_bits(env.counts, ref.counts, "counts")
             assert_same_bits(env.queues, ref.queues, "queues")
             assert_same_bits(env.shares, ref.shares, "shares")
+            # critical_density trusts its autonomy fractions to lie in [0, 1].
+            assert ((0.0 <= info["autonomy"]) & (info["autonomy"] <= 1.0)).all()
             rationed += ref.queues.sum() > 0.0
             exits += info["exited_step"] > 0.0
             dead_paths += (ref.shares == 0.0).any()

@@ -31,30 +31,6 @@ def test_critical_density_half_mix():
     assert critical_density(2, 0.5, 2.0, 6.0) == pytest.approx(0.5, rel=REL)
 
 
-def test_critical_density_rejects_bad_headways():
-    with pytest.raises(ValueError):
-        critical_density(2, 0.5, 0.0, 6.0)
-    with pytest.raises(ValueError):
-        critical_density(2, 0.5, 2.0, -1.0)
-
-
-def test_critical_density_rejects_bad_headway_in_a_vector():
-    lanes = np.array([2.0, 4.0, 2.0])
-    alpha = np.array([0.2, 0.5, 0.8])
-    with pytest.raises(ValueError, match="headways"):
-        critical_density(lanes, alpha, np.array([6.0, 0.0, 6.0]), 6.0)
-    with pytest.raises(ValueError, match="headways"):
-        critical_density(lanes, alpha, np.array([6.0, 6.0, -2.0]), 6.0)
-
-
-@pytest.mark.parametrize("alpha", [-1e-12, 1.0 + 1e-12, -0.5, 2.0])
-def test_critical_density_rejects_autonomy_outside_unit_interval(alpha):
-    with pytest.raises(ValueError, match="autonomy"):
-        critical_density(2, alpha, 2.0, 6.0)
-    with pytest.raises(ValueError, match="autonomy"):
-        critical_density(np.full(3, 2.0), np.array([0.5, alpha, 0.5]), np.full(3, 2.0), 6.0)
-
-
 def test_capacity_product():
     assert capacity(30.0, 0.5) == pytest.approx(15.0, rel=REL)
 

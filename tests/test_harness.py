@@ -391,6 +391,18 @@ class TestFailFastScenario:
             doc["sim"][key] = -0.1
         self.assert_rejected(tmp_path, edit, key)
 
+    @pytest.mark.parametrize("beta_min", [0.0, -1.0, float("nan")])
+    def test_bad_minimum_headway(self, tmp_path, beta_min):
+        def edit(doc):
+            doc["control"]["beta_min_m"] = beta_min
+        self.assert_rejected(tmp_path, edit, "headways must be finite and positive")
+
+    @pytest.mark.parametrize("alpha", [-0.5, 1.5, float("nan")])
+    def test_autonomy_fraction_outside_unit_interval(self, tmp_path, alpha):
+        def edit(doc):
+            doc["od"]["autonomy_fraction"] = alpha
+        self.assert_rejected(tmp_path, edit, "autonomy fraction")
+
     def test_horizon_not_a_whole_number_of_steps(self, tmp_path):
         def edit(doc):
             doc["sim"]["horizon_s"] = 1830.0  # 30.5 one-minute steps
@@ -489,3 +501,21 @@ class TestHonestReplay:
         assert main(["simulate", "--from-manifest", str(first / "manifest.json"),
                      "--out", str(again)]) == EXIT_OK
         assert read_bytes_of_csvs(first) == read_bytes_of_csvs(again)
+
+    @pytest.mark.parametrize("command, seeds", [
+        ("simulate", []), ("simulate", [-1]), ("train", []), ("train", [-1]),
+    ])
+    def test_bad_replayed_seeds_exit_2(self, tmp_path, command, seeds):
+        # The checks --seed makes on the command line hold for a hand-edited
+        # manifest too.
+        path = edited_scenario(tmp_path, lambda doc: None, name="sc.json")
+        first = tmp_path / "first"
+        assert main([command, "--scenario", str(path), "--out", str(first)]) == EXIT_OK
+        manifest = first / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["options"]["seeds"] = seeds
+        manifest.write_text(json.dumps(doc))
+        again = tmp_path / "again"
+        assert main([command, "--from-manifest", str(manifest),
+                     "--out", str(again)]) == EXIT_USAGE
+        assert not again.exists()

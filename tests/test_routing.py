@@ -150,8 +150,8 @@ def test_non_finite_latency_rejected_with_all_paths_alive(bad):
         logit_update(np.array([0.5, 0.5]), np.array([1.0, bad]), mu=0.1)
 
 
-def test_negative_share_and_mu_rejected():
+def test_negative_share_rejected():
+    # A negative mu is refused by SimConfig (test_harness's
+    # TestFailFastScenario::test_negative_rationality).
     with pytest.raises(ValueError, match="non-negative"):
         logit_update(np.array([1.5, -0.5]), np.array([1.0, 2.0]), mu=0.1)
-    with pytest.raises(ValueError, match="rationality"):
-        logit_update(np.array([0.5, 0.5]), np.array([1.0, 2.0]), mu=-0.1)
