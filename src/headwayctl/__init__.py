@@ -7,7 +7,7 @@ with two Braess-geometry scenarios, two constant-headway baselines, and a
 from-scratch clipped policy-gradient trainer.
 """
 
-from .engine import EpisodeTrace, TrafficEnv, run_episode, total_travel_time
+from .engine import EpisodeTrace, TrafficEnv, run_episode
 from .fundamental import (
     capacity,
     congestion_state,
@@ -24,7 +24,6 @@ from .network import (
     ODPair,
     Path,
     ScenarioError,
-    ScenarioOverrides,
     build_braess_5,
     build_braess_8,
     demand_at,

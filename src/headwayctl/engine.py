@@ -20,8 +20,9 @@ rationing and queue drain into array arithmetic that performs the same
 floating-point operations, in the same order, as a per-cell loop would.
 
 A network has one O/D pair: one (human, auto) origin queue and one
-(2, n_paths) share array. ``step_sim`` returns its trace row and
-``decision_step`` the observation after its action period. Episode state
+(2, n_paths) share array. ``step_sim`` writes its row into the episode's
+trace and returns the step's reward; ``decision_step`` returns the
+observation after its action period. Episode state, the trace included,
 exists from ``reset(seed)`` on; one engine holds one episode at a time.
 """
 
@@ -49,36 +50,29 @@ class StepResult:
     obs: np.ndarray
     reward: float
     done: bool
-    info: dict
 
 
-@dataclass
 class EpisodeTrace:
-    """Per-step, per-link history of one episode."""
+    """Per-step, per-link history of one episode; ``step_sim`` fills row t."""
 
-    seed: int
-    dt_s: float
-    reward_scale: float
-    t_s: np.ndarray          # (T,)
-    count: np.ndarray        # (T, L) state at t
-    density: np.ndarray      # (T, L)
-    autonomy: np.ndarray     # (T, L)
-    congested: np.ndarray    # (T, L) 0/1
-    flow_vps: np.ndarray     # (T, L) sending flow used during [t, t+dt)
-    latency_s: np.ndarray    # (T, L)
-    beta_a_m: np.ndarray     # (T, L)
-    queued: np.ndarray       # (T,)
-    reward: np.ndarray       # (T,) reward received for the step starting at t
-    injected_cum: np.ndarray # (T,)
-    exited_cum: np.ndarray   # (T,)
+    def __init__(self, n_steps: int, n_links: int, reward_scale: float):
+        self.reward_scale = reward_scale
+        self.t_s = np.zeros(n_steps)
+        self.count = np.zeros((n_steps, n_links))      # state at t
+        self.density = np.zeros((n_steps, n_links))
+        self.autonomy = np.zeros((n_steps, n_links))
+        # 0/1, kept integer: the CSV writes it as 0 or 1, not 0.0 or 1.0.
+        self.congested = np.zeros((n_steps, n_links), dtype=int)
+        self.flow_vps = np.zeros((n_steps, n_links))   # sending flow during [t, t+dt)
+        self.latency_s = np.zeros((n_steps, n_links))
+        self.beta_a_m = np.zeros((n_steps, n_links))
+        self.reward = np.zeros(n_steps)  # reward received for the step starting at t
+        self.total_exited = 0.0
 
     @property
     def ttt(self) -> float:
-        return total_travel_time(self)
-
-    @property
-    def total_exited(self) -> float:
-        return float(self.exited_cum[-1])
+        """Vehicle-steps spent in the network and queues: -(sum of rewards)/scale."""
+        return -float(self.reward.sum()) / self.reward_scale
 
 
 def observation_size(n_links: int) -> int:
@@ -89,11 +83,6 @@ def observation_size(n_links: int) -> int:
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den where den > 0, else 0."""
     return np.divide(num, den, out=np.zeros(num.shape), where=den > 0.0)
-
-
-def total_travel_time(trace: EpisodeTrace) -> float:
-    """Vehicle-steps spent in the network and queues: -(sum of rewards)/scale."""
-    return -float(trace.reward.sum()) / trace.reward_scale
 
 
 class TrafficEnv:
@@ -175,6 +164,8 @@ class TrafficEnv:
         self.shares = np.full((2, self.n_paths), 1.0 / self.n_paths)
         self.injected = 0.0
         self.exited = 0.0
+        # Fresh arrays, so a trace already handed out is never overwritten.
+        self.trace = EpisodeTrace(self.sim.n_steps, self.n_links, self.sim.reward_scale)
 
         alpha = self.scenario.demand.autonomy_fraction
         for link_id, base in sorted(self.sim.initial_counts.items()):
@@ -220,9 +211,10 @@ class TrafficEnv:
     # ------------------------------------------------------------------
     # dynamics
 
-    def step_sim(self) -> dict:
-        """Advance one dt: transfer, inject, reroute, reward; returns the
-        step's trace row."""
+    def step_sim(self) -> float:
+        """Advance one dt: transfer, inject, reroute, reward; records the
+        step in ``trace`` and returns its reward."""
+        self._refuse_if_done()
         sim = self.sim
         dt = sim.dt_s
         counts = self.counts
@@ -244,7 +236,6 @@ class TrafficEnv:
         send = cells * out_frac.take(self._cell_link)[:, None]
         send_total = send[:, 0] + send[:, 1]
 
-        queued = float(self.queues.sum())
         # Demand arrives at the origin queue before the drain attempt.
         demand = self.scenario.demand
         vol = demand_at(demand, self.t_s) * dt
@@ -279,8 +270,7 @@ class TrafficEnv:
         # The queue gives up each path's drain in turn, path by path.
         self.queues = np.subtract.reduce(np.concatenate([self.queues[None], drained]))
         # Left to right, as a running total (sum() would add pairwise).
-        exited_now = float(np.add.accumulate(send_total.take(self._exit_cells))[-1])
-        self.exited += exited_now
+        self.exited += float(np.add.accumulate(send_total.take(self._exit_cells))[-1])
 
         self._check_state()
 
@@ -289,47 +279,39 @@ class TrafficEnv:
         self.shares = step_shares(self.shares, path_lat / sim.latency_unit_s,
                                   sim.mu_h, sim.mu_a)
 
+        reward = self.current_reward()
+        trace, i = self.trace, self.step_index
+        trace.t_s[i] = self.t_s
+        trace.count[i] = n_link
+        trace.density[i] = rho
+        trace.autonomy[i] = alpha
+        trace.congested[i] = congested
+        trace.flow_vps[i] = flow
+        trace.latency_s[i] = latency
+        trace.beta_a_m[i] = self.beta_a
+        trace.reward[i] = reward
+        trace.total_exited = self.exited
+
         # Time is the step index; t_s is derived from it, never accumulated.
-        t_s = self.t_s
         self.step_index += 1
         self.t_s = self.step_index * dt
-        reward = self.current_reward()
-
-        # The arrays are fresh every step and beta_a is only ever rebound,
-        # so the trace row can hold them without copies.
-        return {
-            "t_s": t_s,
-            "count": n_link,
-            "density": rho,
-            "autonomy": alpha,
-            "congested": congested,
-            "flow_vps": flow,
-            "latency_s": latency,
-            "beta_a_m": self.beta_a,
-            "queued": queued,
-            "reward": reward,
-            "injected_cum": self.injected,
-            "exited_cum": self.exited,
-            "exited_step": exited_now,
-        }
+        return reward
 
     def decision_step(self, beta_a_m: np.ndarray) -> StepResult:
         """Apply an action and run one full action period of sim steps.
 
         The returned reward is the sum over the inner steps and ``obs`` the
-        observation after the last of them; ``info`` holds whether the action
-        needed clamping and the inner steps' trace rows. The period ends
-        early at the end of the episode.
+        observation after the last of them. The period ends early at the end
+        of the episode.
         """
-        info = {"action_clamped": self.apply_action(beta_a_m), "rows": []}
+        self._refuse_if_done()
+        self.apply_action(beta_a_m)
         total = 0.0
         for _ in range(self.sim.steps_per_action):
-            row = self.step_sim()
-            total += row["reward"]
-            info["rows"].append(row)
+            total += self.step_sim()
             if self.done:
                 break
-        return StepResult(obs=self.observe(), reward=total, done=self.done, info=info)
+        return StepResult(obs=self.observe(), reward=total, done=self.done)
 
     # ------------------------------------------------------------------
     # readouts
@@ -363,6 +345,11 @@ class TrafficEnv:
 
     # ------------------------------------------------------------------
     # internal guards
+
+    def _refuse_if_done(self) -> None:
+        if self.done:
+            raise ValueError(f"episode of seed {self.seed} is over: step {self.step_index} "
+                             f"is past its {self.sim.n_steps} steps; reset first")
 
     def _check_state(self) -> None:
         """Zero the float noise below zero, then refuse states that should be
@@ -398,35 +385,9 @@ def run_episode(scenario: Scenario, controller, seed: int) -> EpisodeTrace:
     """
     env = TrafficEnv(scenario)
     obs = env.reset(seed)
-    rows: list[dict] = []
     while not env.done:
-        result = env.decision_step(controller(obs))
-        rows.extend(result.info["rows"])
-        obs = result.obs
-
-    L = env.n_links
-    T = len(rows)
-
-    def stack(key):
-        return np.array([r[key] for r in rows])
-
-    return EpisodeTrace(
-        seed=seed,
-        dt_s=env.sim.dt_s,
-        reward_scale=env.sim.reward_scale,
-        t_s=np.array([r["t_s"] for r in rows]),
-        count=stack("count").reshape(T, L),
-        density=stack("density").reshape(T, L),
-        autonomy=stack("autonomy").reshape(T, L),
-        congested=stack("congested").reshape(T, L),
-        flow_vps=stack("flow_vps").reshape(T, L),
-        latency_s=stack("latency_s").reshape(T, L),
-        beta_a_m=stack("beta_a_m").reshape(T, L),
-        queued=np.array([r["queued"] for r in rows]),
-        reward=np.array([r["reward"] for r in rows]),
-        injected_cum=np.array([r["injected_cum"] for r in rows]),
-        exited_cum=np.array([r["exited_cum"] for r in rows]),
-    )
+        obs = env.decision_step(controller(obs)).obs
+    return env.trace
 
 
 def trace_to_csv_rows(trace: EpisodeTrace) -> list[tuple]:

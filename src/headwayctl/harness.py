@@ -63,7 +63,8 @@ def _write_manifest(out_dir: FsPath, command: str, options: dict, scenario: Scen
 
 def _load_manifest(path: str) -> tuple[str, dict, str | None]:
     doc = json.loads(FsPath(path).read_text())
-    if not isinstance(doc, dict) or doc.get("format") != "headwayctl-manifest":
+    if not (isinstance(doc, dict) and doc.get("format") == "headwayctl-manifest"
+            and isinstance(doc.get("command"), str) and isinstance(doc.get("options"), dict)):
         raise ConfigError(f"not a run manifest: {path}")
     return doc["command"], doc["options"], doc.get("scenario_sha256")
 
@@ -212,18 +213,24 @@ def cmd_heatmap(options: dict) -> int:
     if not trace_path.exists():
         raise ScenarioFileError(f"trace not found: {trace_path}")
     with open(trace_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        records = list(reader)
+        records = list(csv.DictReader(fh))
     if not records:
         raise ConfigError("empty trace")
+    try:
+        t_s = np.array([float(r["t_s"]) for r in records])
+        links = np.array([int(r["link_id"]) for r in records])
+        density = np.array([float(r["density"]) for r in records])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"trace {trace_path}: missing or non-numeric column ({exc})") from None
+    if not (np.isfinite(t_s).all() and np.isfinite(density).all()):
+        raise ConfigError(f"trace {trace_path}: non-finite time or density")
     n_links = scenario.network.n_links
-    times = sorted({float(r["t_s"]) for r in records})
-    t_index = {t: i for i, t in enumerate(times)}
+    if links.min() < 0 or links.max() >= n_links:
+        raise ConfigError(f"trace {trace_path} has link ids outside the scenario's "
+                          f"{n_links} links")
+    times, column = np.unique(t_s, return_inverse=True)
     grid = np.zeros((n_links, len(times)))
-    jam = scenario.network.jam_density_array()
-    for r in records:
-        li = int(r["link_id"])
-        grid[li, t_index[float(r["t_s"])]] = float(r["density"]) / jam[li]
+    grid[links, column] = density / scenario.network.jam_density_array()[links]
     out = _out_dir(options)
     write_heatmap(grid, scenario.sim.dt_s, out / "heatmap.svg")
     _write_manifest(out, "heatmap", options, scenario)
@@ -233,21 +240,12 @@ def cmd_heatmap(options: dict) -> int:
 # ----------------------------------------------------------------------
 # argument plumbing
 
-def _check_seeds(seeds) -> list[int]:
-    """A seed list from the command line or a replayed manifest: at least one
-    seed, none negative."""
-    if not (isinstance(seeds, list) and seeds
-            and all(type(s) is int and s >= 0 for s in seeds)):
-        raise ConfigError(f"expected non-negative seeds, got {seeds!r}")
-    return seeds
-
-
 def _int_list(text: str) -> list[int]:
-    """Comma-separated seeds for ``--seed``."""
-    try:
-        return _check_seeds([int(x) for x in text.split(",") if x.strip()])
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    """Comma-separated seeds for ``--seed``: at least one, none negative."""
+    seeds = [int(x) for x in text.split(",") if x.strip()]
+    if not seeds or min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"expected non-negative seeds, got {text!r}")
+    return seeds
 
 
 def _float_list(text: str) -> list[float]:
@@ -299,30 +297,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _replay_options(parser: argparse.ArgumentParser, command: str, stored: dict,
+                    out: str | None) -> dict:
+    """Pass a manifest's stored options back through the command's own flags,
+    so that a replay meets every check the command line makes. Each option the
+    command takes must be stored, as the value its flag would parse to."""
+    if out is not None:
+        stored = {**stored, "out": out}
+    argv = [command]
+    try:
+        for dest in vars(parser.parse_args([command])):
+            if dest in ("command", "from_manifest"):
+                continue
+            if dest not in stored:
+                raise ConfigError(f"manifest stores no {dest!r} option")
+            value = stored[dest]
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            flag = "seed" if dest == "seeds" else dest.replace("_", "-")
+            argv.append(f"--{flag}={text}")
+        options = vars(parser.parse_args(argv))
+    except SystemExit:  # argparse has printed why
+        raise ConfigError(f"manifest options are not valid {command} flags") from None
+    del options["from_manifest"]
+    for dest, value in options.items():
+        if dest != "command" and value != stored[dest]:
+            raise ConfigError(f"manifest option {dest} = {stored[dest]!r} is not a "
+                              f"value its flag gives")
+    return options
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    options = vars(args)
+    parser = build_parser()
+    options = vars(parser.parse_args(argv))
     manifest = options.pop("from_manifest")
-    command = args.command
     if manifest:
         try:
             command, stored, stored_sha256 = _load_manifest(manifest)
-            options = dict(stored)
+            options = _replay_options(parser, command, stored, options["out"])
             _check_replay_scenario(options, stored_sha256)
-            if "seeds" in options:
-                _check_seeds(options["seeds"])
         except (OSError, json.JSONDecodeError, KeyError, ConfigError, ScenarioError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if args.out is not None:
-            options["out"] = args.out
-        options["command"] = command
-    if options.get("out") is None:
+    if options["out"] is None:
         print("error: --out is required", file=sys.stderr)
         return EXIT_USAGE
 
     try:
-        return _DISPATCH[command](options)
+        return _DISPATCH[options["command"]](options)
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT

@@ -201,22 +201,6 @@ def enumerate_paths(links: Sequence[Link], origin: str, destination: str) -> lis
     return [Path(id=i, links=seq) for i, seq in enumerate(found)]
 
 
-@dataclass(frozen=True)
-class ScenarioOverrides:
-    """Optional knobs for the built-in scenario builders.
-
-    ``None`` keeps the builder default. ``lanes`` overrides per-link lane
-    counts (must match the link count of the chosen geometry).
-    """
-
-    lanes: tuple[int, ...] | None = None
-    beta_h_m: float | None = None
-    beta_jam_m: float | None = None
-    beta_min_m: float | None = None
-    beta_max_m: float | None = None
-    free_flow_speed_mps: float | None = None
-
-
 _BRAESS5_EDGES = [
     # (from, to, length_m, lanes) -- diamond O-A-B-D with the short wide
     # shortcut A->B in the middle.
@@ -237,49 +221,26 @@ _BRAESS8_EXTRA_EDGES = [
 ]
 
 
-def _build_network(edges, overrides: ScenarioOverrides, origin: str, destination: str) -> Network:
-    beta_h = 6.0 if overrides.beta_h_m is None else overrides.beta_h_m
-    beta_jam = 0.5 if overrides.beta_jam_m is None else overrides.beta_jam_m
-    beta_min = 1.0 if overrides.beta_min_m is None else overrides.beta_min_m
-    beta_max = 10.0 if overrides.beta_max_m is None else overrides.beta_max_m
-    vff = 30.0 if overrides.free_flow_speed_mps is None else overrides.free_flow_speed_mps
-    if overrides.lanes is not None and len(overrides.lanes) != len(edges):
-        raise ConfigError(f"lanes override must have {len(edges)} entries")
-    links = []
-    for i, (frm, to, length, lanes) in enumerate(edges):
-        if overrides.lanes is not None:
-            lanes = overrides.lanes[i]
-        links.append(
-            Link(
-                id=i,
-                from_node=frm,
-                to_node=to,
-                length_m=length,
-                lanes=lanes,
-                free_flow_speed_mps=vff,
-                jam_spacing_m=beta_jam,
-            )
-        )
-    paths = enumerate_paths(links, origin, destination)
-    od = ODPair(origin=origin, destination=destination, paths=tuple(paths))
-    return Network(
-        links=tuple(links),
-        od_pairs=(od,),
-        beta_min_m=beta_min,
-        beta_max_m=beta_max,
-        beta_h_m=beta_h,
-    )
+def _build_network(edges) -> Network:
+    """Links from (from, to, length_m, lanes) edges at 30 m/s and 0.5 m jam
+    spacing, one O->D pair, and headways 6 m (human) within [1, 10] m."""
+    links = [Link(id=i, from_node=frm, to_node=to, length_m=length, lanes=lanes,
+                  free_flow_speed_mps=30.0, jam_spacing_m=0.5)
+             for i, (frm, to, length, lanes) in enumerate(edges)]
+    od = ODPair(origin="O", destination="D", paths=tuple(enumerate_paths(links, "O", "D")))
+    return Network(links=tuple(links), od_pairs=(od,),
+                   beta_min_m=1.0, beta_max_m=10.0, beta_h_m=6.0)
 
 
-def build_braess_5(overrides: ScenarioOverrides = ScenarioOverrides()) -> Network:
+def build_braess_5() -> Network:
     """Classic 4-node, 5-link Braess diamond with one O->D pair (3 paths)."""
-    return _build_network(_BRAESS5_EDGES, overrides, "O", "D")
+    return _build_network(_BRAESS5_EDGES)
 
 
-def build_braess_8(overrides: ScenarioOverrides = ScenarioOverrides()) -> Network:
+def build_braess_8() -> Network:
     """Eight-link network with a second Braess diamond nested after the first."""
     edges = list(_BRAESS5_EDGES)
     for frm, to, copy_of in _BRAESS8_EXTRA_EDGES:
         _, _, length, lanes = _BRAESS5_EDGES[copy_of]
         edges.append((frm, to, length, lanes))
-    return _build_network(edges, overrides, "O", "D")
+    return _build_network(edges)

@@ -20,7 +20,6 @@ from .network import (
     Network,
     ODPair,
     ScenarioError,
-    ScenarioOverrides,
     build_braess_5,
     build_braess_8,
     enumerate_paths,
@@ -156,17 +155,15 @@ def _braess_scenario(network: Network, autonomy_fraction: float, peak_factor: fl
 
 def braess5_scenario(autonomy_fraction: float = 0.8, peak_factor: float = DEFAULT_PEAK_FACTOR,
                      initial_fill: float = DEFAULT_INITIAL_FILL, mu_h: float = 0.1,
-                     mu_a: float = 0.1, seed: int = 0,
-                     overrides: ScenarioOverrides = ScenarioOverrides()) -> Scenario:
-    return _braess_scenario(build_braess_5(overrides), autonomy_fraction, peak_factor,
+                     mu_a: float = 0.1, seed: int = 0) -> Scenario:
+    return _braess_scenario(build_braess_5(), autonomy_fraction, peak_factor,
                             initial_fill, mu_h, mu_a, seed)
 
 
 def braess8_scenario(autonomy_fraction: float = 0.8, peak_factor: float = DEFAULT_PEAK_FACTOR,
                      initial_fill: float = DEFAULT_INITIAL_FILL, mu_h: float = 0.1,
-                     mu_a: float = 0.1, seed: int = 0,
-                     overrides: ScenarioOverrides = ScenarioOverrides()) -> Scenario:
-    return _braess_scenario(build_braess_8(overrides), autonomy_fraction, peak_factor,
+                     mu_a: float = 0.1, seed: int = 0) -> Scenario:
+    return _braess_scenario(build_braess_8(), autonomy_fraction, peak_factor,
                             initial_fill, mu_h, mu_a, seed)
 
 

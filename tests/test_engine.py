@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from headwayctl.engine import InvariantViolation, TrafficEnv, run_episode, total_travel_time
+from headwayctl.engine import InvariantViolation, TrafficEnv, run_episode
 from headwayctl.network import ConfigError, DemandProfile, Link, Network, ODPair, Path
 from headwayctl.policies import min_headway_policy, uniform_headway_policy
 from headwayctl.scenario import Scenario, SimConfig, braess5_scenario
@@ -69,24 +69,22 @@ class TestApplyAction:
         env = TrafficEnv(braess5_scenario())
         env.reset(0)
         action = np.array([0.5, 6.0, 6.0, 6.0, 20.0])
-        result = env.decision_step(action)
-        assert result.info["action_clamped"]
+        assert env.apply_action(action)
         assert env.beta_a[0] == 1.0
         assert env.beta_a[4] == 10.0
 
     def test_in_bounds_not_flagged(self):
         env = TrafficEnv(braess5_scenario())
         env.reset(0)
-        result = env.decision_step(uniform_headway_policy(env.net))
-        assert not result.info["action_clamped"]
+        assert not env.apply_action(uniform_headway_policy(env.net))
 
     def test_action_persists_through_period(self):
         env = TrafficEnv(braess5_scenario())
         env.reset(0)
         env.apply_action(np.full(5, 2.5))
-        for _ in range(env.sim.steps_per_action):
-            row = env.step_sim()
-            assert np.all(row["beta_a_m"] == 2.5)
+        for step in range(env.sim.steps_per_action):
+            env.step_sim()
+            assert np.all(env.trace.beta_a_m[step] == 2.5)
 
     def test_mid_period_action_rejected(self):
         env = TrafficEnv(braess5_scenario())
@@ -117,8 +115,7 @@ class TestStep:
         sc = single_link_scenario(initial=0.0)
         env = TrafficEnv(sc)
         env.reset(0)
-        row = env.step_sim()
-        assert row["reward"] == 0.0
+        assert env.step_sim() == 0.0
         assert env.counts.sum() == 0.0
         assert env.queues.sum() == 0.0
 
@@ -216,6 +213,39 @@ class TestInvariantGuards:
         assert env.counts.min() == 0.0
 
 
+class TestEpisodeEnd:
+    """A finished episode refuses to step, rather than run past its horizon."""
+
+    def finished_env(self):
+        sc = braess5_scenario()
+        env = TrafficEnv(sc)
+        env.reset(3)
+        while not env.done:
+            env.decision_step(uniform_headway_policy(sc.network))
+        return env
+
+    def test_step_sim_after_the_last_step_raises(self):
+        env = self.finished_env()
+        with pytest.raises(ValueError, match="seed 3 is over: step 200 "):
+            env.step_sim()
+        assert env.step_index == 200 and env.t_s == 12_000.0
+
+    def test_decision_step_after_the_last_step_raises(self):
+        env = self.finished_env()
+        beta = env.beta_a
+        with pytest.raises(ValueError, match="seed 3 is over: step 200 "):
+            env.decision_step(np.full(5, 2.0))
+        assert env.beta_a is beta
+
+    def test_reset_starts_a_fresh_trace(self):
+        env = self.finished_env()
+        trace, count = env.trace, env.trace.count.copy()
+        env.reset(1)
+        env.decision_step(uniform_headway_policy(env.net))
+        assert env.trace is not trace
+        assert np.array_equal(trace.count, count)
+
+
 class TestReward:
     def test_hand_counts(self):
         sc = single_link_scenario(reward_scale=1.0)
@@ -246,7 +276,7 @@ class TestTotalTravelTime:
     def test_zero_everything_gives_zero(self):
         sc = single_link_scenario(initial=0.0)
         trace = run_episode(sc, lambda obs: np.array([6.0]), seed=0)
-        assert total_travel_time(trace) == 0.0
+        assert trace.ttt == 0.0
 
     def test_identity_with_cumulative_reward(self):
         sc = braess5_scenario()

@@ -2,9 +2,9 @@
 
 ``loop_step`` is the step written as explicit loops over paths, links and
 classes. The engine's array form promises the same floating-point operations
-in the same order, so every state and trace array must match bit for bit,
-step after step, including where links are rationed, paths exit, and route
-shares underflow to zero.
+in the same order, so every state array and every row the engine records in
+its trace must match bit for bit, step after step, including where links are
+rationed, paths exit, and route shares underflow to zero.
 """
 
 import numpy as np
@@ -21,7 +21,8 @@ EXIT = -1
 
 
 def loop_step(env):
-    """One sim step of ``env`` with per-path loops; returns the trace row."""
+    """One sim step of ``env`` with per-path loops; returns the trace row
+    (one value per ``EpisodeTrace`` array) and the vehicles that exited."""
     net, sim, counts, queues = env.net, env.sim, env.counts, env.queues
     dt = sim.dt_s
     length, jam = net.length_array(), net.jam_density_array()
@@ -44,7 +45,7 @@ def loop_step(env):
     path_lat = np.array([fd.path_latency(p, latency) for p in paths])
     row = {"t_s": env.t_s, "count": n_link, "density": rho, "autonomy": alpha,
            "congested": congested, "flow_vps": flow, "latency_s": latency,
-           "beta_a_m": env.beta_a, "queued": float(queues.sum())}
+           "beta_a_m": env.beta_a}
 
     out_total = np.minimum(flow * dt, n_link)
     with np.errstate(invalid="ignore"):
@@ -105,9 +106,8 @@ def loop_step(env):
     env.shares = step_shares(env.shares, path_lat / sim.latency_unit_s, sim.mu_h, sim.mu_a)
     env.t_s += dt
     env.step_index += 1
-    row.update(reward=env.current_reward(), injected_cum=env.injected,
-               exited_cum=env.exited, exited_step=exited_now)
-    return row
+    row["reward"] = env.current_reward()
+    return row, exited_now
 
 
 SCENARIOS = {
@@ -139,17 +139,23 @@ def test_array_step_matches_loop_step_bit_for_bit(name, seed):
         env.apply_action(action)
         ref.apply_action(action)
         for _ in range(scenario.sim.steps_per_action):
-            info = env.step_sim()
-            want = loop_step(ref)
+            step = env.step_index
+            reward = env.step_sim()
+            want, exited_now = loop_step(ref)
             for key, value in want.items():
-                assert_same_bits(info[key], value, f"{key} at step {ref.step_index}")
+                assert_same_bits(getattr(env.trace, key)[step], value, f"{key} at step {step}")
+            assert_same_bits(reward, want["reward"], "returned reward")
+            assert_same_bits(env.injected, ref.injected, "injected")
+            assert_same_bits(env.exited, ref.exited, "exited")
+            assert_same_bits(env.trace.total_exited, ref.exited, "total_exited")
             assert_same_bits(env.counts, ref.counts, "counts")
             assert_same_bits(env.queues, ref.queues, "queues")
             assert_same_bits(env.shares, ref.shares, "shares")
             # critical_density trusts its autonomy fractions to lie in [0, 1].
-            assert ((0.0 <= info["autonomy"]) & (info["autonomy"] <= 1.0)).all()
+            autonomy = env.trace.autonomy[step]
+            assert ((0.0 <= autonomy) & (autonomy <= 1.0)).all()
             rationed += ref.queues.sum() > 0.0
-            exits += info["exited_step"] > 0.0
+            exits += exited_now > 0.0
             dead_paths += (ref.shares == 0.0).any()
             if env.done:
                 break

@@ -328,6 +328,27 @@ class TestHeatmap:
                      "--trace", str(empty), "--out", str(tmp_path / "hm")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("edit", ["braess8 trace", "no density", "non-numeric", "nan"])
+    def test_bad_trace_exit_2(self, edit, tmp_path):
+        run = tmp_path / "run"
+        scenario = "braess8" if edit == "braess8 trace" else "braess5"
+        assert main(["simulate", "--scenario", scenario, "--out", str(run)]) == EXIT_OK
+        trace = run / "trace_seed0.csv"
+        lines = trace.read_text().splitlines()
+        if edit == "no density":
+            lines = [",".join(c for i, c in enumerate(line.split(",")) if i != 3)
+                     for line in lines]
+        elif edit == "non-numeric":
+            lines[5] = lines[5].replace(",", ",x", 1)
+        elif edit == "nan":
+            cells = lines[5].split(",")
+            lines[5] = ",".join(cells[:3] + ["nan"] + cells[4:])
+        trace.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "hm"
+        assert main(["heatmap", "--scenario", "braess5", "--trace", str(trace),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
     def test_all_green_when_empty_network(self, tmp_path):
         from headwayctl.heatmap import heatmap_svg
 
@@ -502,20 +523,48 @@ class TestHonestReplay:
                      "--out", str(again)]) == EXIT_OK
         assert read_bytes_of_csvs(first) == read_bytes_of_csvs(again)
 
+    def assert_replay_refused(self, tmp_path, command, edit):
+        """Replaying a ``command`` run whose manifest ``edit`` changed exits 2
+        and writes nothing."""
+        path = edited_scenario(tmp_path, lambda doc: None, name="sc.json")
+        first = tmp_path / "first"
+        assert main([command, "--scenario", str(path), "--out", str(first)]) == EXIT_OK
+        manifest = first / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        again = tmp_path / "again"
+        assert main([command, "--from-manifest", str(manifest),
+                     "--out", str(again)]) == EXIT_USAGE
+        assert not again.exists()
+
     @pytest.mark.parametrize("command, seeds", [
         ("simulate", []), ("simulate", [-1]), ("train", []), ("train", [-1]),
     ])
     def test_bad_replayed_seeds_exit_2(self, tmp_path, command, seeds):
         # The checks --seed makes on the command line hold for a hand-edited
         # manifest too.
-        path = edited_scenario(tmp_path, lambda doc: None, name="sc.json")
-        first = tmp_path / "first"
-        assert main([command, "--scenario", str(path), "--out", str(first)]) == EXIT_OK
-        manifest = first / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        doc["options"]["seeds"] = seeds
-        manifest.write_text(json.dumps(doc))
-        again = tmp_path / "again"
-        assert main([command, "--from-manifest", str(manifest),
-                     "--out", str(again)]) == EXIT_USAGE
-        assert not again.exists()
+        edit = lambda doc: doc["options"].update(seeds=seeds)
+        self.assert_replay_refused(tmp_path, command, edit)
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "budget", "x"),
+        ("train", "budget", None),
+        ("train", "n_envs", "8"),
+        ("train", "n_steps", KeyError),
+    ])
+    def test_bad_replayed_option_exit_2(self, tmp_path, command, key, value):
+        # Replay passes the stored options through the command's own flags:
+        # each must be stored, as the value its flag would parse to.
+        def edit(doc):
+            if value is KeyError:
+                del doc["options"][key]
+            else:
+                doc["options"][key] = value
+
+        self.assert_replay_refused(tmp_path, command, edit)
+
+    @pytest.mark.parametrize("command", ["bogus", 5])
+    def test_unknown_replayed_command_exit_2(self, tmp_path, command):
+        edit = lambda doc: doc.update(command=command)
+        self.assert_replay_refused(tmp_path, "simulate", edit)

@@ -1,6 +1,7 @@
 """Network construction, path enumeration, demand profiles, scenario IO."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from headwayctl.network import (
     Network,
     ODPair,
     ScenarioError,
-    ScenarioOverrides,
     build_braess_5,
     build_braess_8,
     demand_at,
@@ -76,10 +76,12 @@ class TestBraess5:
         assert all(l.jam_spacing_m == 0.5 for l in net.links)
 
     def test_invalid_override_rejected(self):
-        with pytest.raises(ConfigError):
-            build_braess_5(ScenarioOverrides(beta_jam_m=1.5))  # >= beta_min
-        with pytest.raises(ConfigError):
-            build_braess_5(ScenarioOverrides(beta_h_m=99.0))  # outside bounds
+        net = build_braess_5()
+        wide = tuple(replace(l, jam_spacing_m=1.5) for l in net.links)
+        with pytest.raises(ConfigError, match="jam spacing"):
+            replace(net, links=wide)  # >= beta_min
+        with pytest.raises(ConfigError, match="within the action bounds"):
+            replace(net, beta_h_m=99.0)
 
 
 class TestBraess8:
