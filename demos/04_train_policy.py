@@ -17,7 +17,7 @@ from headwayctl.ppo import TrainConfig, evaluate_policy, train
 
 budget = int(sys.argv[1]) if len(sys.argv) > 1 else 2048
 scenario = braess5_scenario()
-config = TrainConfig(total_steps=budget, n_steps=512, batch_size=64, n_envs=8, seed=0)
+config = TrainConfig(total_steps=budget, n_steps=512, n_envs=8, seed=0)
 
 print(f"training for {budget} decision steps (buffer {config.n_steps})...")
 start = time.time()

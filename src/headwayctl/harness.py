@@ -25,12 +25,7 @@ from .heatmap import write_heatmap
 from .network import ConfigError, ScenarioError
 from .policies import CheckpointError, make_controller, save_checkpoint
 from .ppo import LEARNING_CURVE_HEADER, TrainConfig, evaluate_policy, train
-from .scenario import (
-    Scenario,
-    ScenarioFileError,
-    load_scenario,
-    scenario_to_dict,
-)
+from .scenario import Scenario, load_scenario, scenario_to_dict
 
 MANIFEST_NAME = "manifest.json"
 
@@ -62,7 +57,10 @@ def _write_manifest(out_dir: FsPath, command: str, options: dict, scenario: Scen
 
 
 def _load_manifest(path: str) -> tuple[str, dict, str | None]:
-    doc = json.loads(FsPath(path).read_text())
+    try:
+        doc = json.loads(FsPath(path).read_text())
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigError(f"cannot read manifest {path}: {exc}") from None
     if not (isinstance(doc, dict) and doc.get("format") == "headwayctl-manifest"
             and isinstance(doc.get("command"), str) and isinstance(doc.get("options"), dict)):
         raise ConfigError(f"not a run manifest: {path}")
@@ -98,7 +96,10 @@ def _with_alpha(scenario: Scenario, alpha: float) -> Scenario:
 
 def _out_dir(options: dict) -> FsPath:
     out = FsPath(options["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names an existing file
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     return out
 
 
@@ -173,7 +174,6 @@ def cmd_sweep_mu(options: dict) -> int:
         ttts = _policy_ttts(_with_mu(scenario, mu), options)
         rows.append([mu, float(np.mean(ttts)), float(np.std(ttts)), len(ttts)])
     write_csv(out / "sweep_mu.csv", ["mu", "mean_ttt", "std_ttt", "n_seeds"], rows)
-    options["mu_axis_scale"] = "log"
     _write_manifest(out, "sweep-mu", options, scenario)
     return EXIT_OK
 
@@ -210,10 +210,11 @@ def cmd_heatmap(options: dict) -> int:
     if options["trace"] is None:
         raise ConfigError("heatmap needs --trace")
     trace_path = FsPath(options["trace"])
-    if not trace_path.exists():
-        raise ScenarioFileError(f"trace not found: {trace_path}")
-    with open(trace_path, newline="") as fh:
-        records = list(csv.DictReader(fh))
+    try:
+        with open(trace_path, newline="") as fh:
+            records = list(csv.DictReader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read trace {trace_path}: {exc}") from None
     if not records:
         raise ConfigError("empty trace")
     try:
@@ -335,7 +336,7 @@ def main(argv=None) -> int:
             command, stored, stored_sha256 = _load_manifest(manifest)
             options = _replay_options(parser, command, stored, options["out"])
             _check_replay_scenario(options, stored_sha256)
-        except (OSError, json.JSONDecodeError, KeyError, ConfigError, ScenarioError) as exc:
+        except (ConfigError, ScenarioError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     if options["out"] is None:
@@ -347,7 +348,7 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
-    except (ScenarioFileError, ScenarioError, ConfigError) as exc:
+    except (ScenarioError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -25,14 +25,12 @@ def _cell_color(ratio: float) -> str:
     return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
 
 
-def heatmap_svg(density_ratio: np.ndarray, dt_s: float, link_labels=None) -> str:
+def heatmap_svg(density_ratio: np.ndarray, dt_s: float) -> str:
     """Render a (links x steps) grid of jam-relative densities to SVG text."""
     grid = np.asarray(density_ratio, dtype=float)
     if grid.ndim != 2 or grid.size == 0:
         raise ValueError("density grid must be a non-empty 2-D array (links x steps)")
     n_links, n_steps = grid.shape
-    if link_labels is None:
-        link_labels = [f"link {i}" for i in range(n_links)]
 
     cell_w = max(2, int(round(960 / n_steps)))
     width = _LEFT + cell_w * n_steps + 20
@@ -46,7 +44,7 @@ def heatmap_svg(density_ratio: np.ndarray, dt_s: float, link_labels=None) -> str
         y = _TOP + li * _CELL_H
         parts.append(
             f'<text x="{_LEFT - 6}" y="{y + _CELL_H * 0.7:.0f}" text-anchor="end" '
-            f'font-size="12" font-family="sans-serif">{link_labels[li]}</text>'
+            f'font-size="12" font-family="sans-serif">link {li}</text>'
         )
         for ti in range(n_steps):
             x = _LEFT + ti * cell_w
@@ -77,5 +75,5 @@ def heatmap_svg(density_ratio: np.ndarray, dt_s: float, link_labels=None) -> str
     return "\n".join(parts) + "\n"
 
 
-def write_heatmap(density_ratio: np.ndarray, dt_s: float, path, link_labels=None) -> None:
-    FsPath(path).write_text(heatmap_svg(density_ratio, dt_s, link_labels))
+def write_heatmap(density_ratio: np.ndarray, dt_s: float, path) -> None:
+    FsPath(path).write_text(heatmap_svg(density_ratio, dt_s))

@@ -21,6 +21,10 @@ from .nn import init_layers, mlp_forward
 CHECKPOINT_FORMAT = "headwayctl-policy"
 OBS_SPEC_VERSION = 1
 
+# A fresh policy: two 64-wide tanh hidden layers and unit action noise.
+HIDDEN = (64, 64)
+LOG_STD_INIT = 0.0
+
 
 class CheckpointError(ValueError):
     """Checkpoint file missing, unreadable, or structurally invalid."""
@@ -55,13 +59,11 @@ class PolicyParams:
     obs_version: int = OBS_SPEC_VERSION
 
     @classmethod
-    def new(cls, obs_dim: int, n_links: int, rng, hidden=(64, 64),
-            beta_min_m: float = 1.0, beta_max_m: float = 10.0,
-            log_std_init: float = 0.0) -> "PolicyParams":
-        sizes = [obs_dim, *hidden, n_links]
+    def new(cls, obs_dim: int, n_links: int, rng, beta_min_m: float = 1.0,
+            beta_max_m: float = 10.0) -> "PolicyParams":
         return cls(
-            layers=init_layers(sizes, rng),
-            log_std=np.full(n_links, log_std_init),
+            layers=init_layers([obs_dim, *HIDDEN, n_links], rng),
+            log_std=np.full(n_links, LOG_STD_INIT),
             beta_min_m=beta_min_m,
             beta_max_m=beta_max_m,
         )
@@ -98,13 +100,10 @@ def save_checkpoint(params: PolicyParams, path: str | FsPath) -> None:
 
 
 def load_checkpoint(path: str | FsPath) -> PolicyParams:
-    p = FsPath(path)
-    if not p.exists():
-        raise CheckpointError(f"checkpoint not found: {path}")
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint is not valid JSON: {path}") from exc
+        doc = json.loads(FsPath(path).read_text())
+    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"not a policy checkpoint: {path}")
     try:

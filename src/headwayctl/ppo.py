@@ -7,6 +7,13 @@ GAE, and ascends the PPO clipped surrogate with Adam. Policy and value
 networks are separate tanh MLPs; all gradients are exact reverse-mode
 (see nn.py), no autodiff framework involved.
 
+The hyperparameters are fixed constants: learning rate 2e-4, clip range
+0.2, discount 0.99, GAE lambda 0.95, value-loss weight 0.5, two 64-wide
+hidden layers per network, initial log std 0, and per update 10 epochs of
+64-sample minibatches, then one evaluation episode on each of seeds 9001,
+9002 and 9003. ``TrainConfig`` holds only the four values the CLI sets: the
+budget, the seed, the decision steps per update and the number of envs.
+
 Everything is seeded: same config -> same parameters, same learning curve.
 """
 
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,34 +37,29 @@ from .nn import (
     mlp_forward,
 )
 from .network import ConfigError
-from .policies import PolicyParams, policy_act, squash_to_bounds
+from .policies import HIDDEN, PolicyParams, policy_act, squash_to_bounds
 from .scenario import Scenario
+
+LEARNING_RATE = 2e-4
+CLIP_RANGE = 0.2
+GAMMA = 0.99
+GAE_LAMBDA = 0.95
+VALUE_COEF = 0.5
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 2e-4
-    n_steps: int = 2048            # decision steps gathered per update
-    batch_size: int = 64
-    clip_range: float = 0.2
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    n_epochs: int = 10
     total_steps: int = 40_960      # decision-step budget
     seed: int = 0
+    n_steps: int = 2048            # decision steps gathered per update
     n_envs: int = 8
-    value_coef: float = 0.5
-    hidden: tuple[int, ...] = (64, 64)
-    log_std_init: float = 0.0
-    eval_seeds: tuple[int, ...] = (9001, 9002, 9003)
+    n_epochs: ClassVar[int] = 10
+    batch_size: ClassVar[int] = 64
+    eval_seeds: ClassVar[tuple[int, ...]] = (9001, 9002, 9003)
 
     def __post_init__(self):
-        if not 0.0 < self.clip_range < 1.0:
-            raise ConfigError("clip_range must lie in (0, 1)")
-        if not 0.0 < self.gamma <= 1.0 or not 0.0 < self.gae_lambda <= 1.0:
-            raise ConfigError("gamma and gae_lambda must lie in (0, 1]")
-        if min(self.n_envs, self.n_steps, self.batch_size) < 1 or self.total_steps < 0:
-            raise ConfigError(f"need n_envs, n_steps, batch_size >= 1 and total_steps >= 0: {self}")
+        if min(self.n_envs, self.n_steps) < 1 or self.total_steps < 0:
+            raise ConfigError(f"need n_envs, n_steps >= 1 and total_steps >= 0: {self}")
         if self.n_steps % self.batch_size != 0:
             raise ConfigError("batch_size must divide n_steps")
         if self.n_steps % self.n_envs != 0:
@@ -70,13 +73,9 @@ class ActorCritic:
 
     @classmethod
     def new(cls, obs_dim: int, n_links: int, beta_min: float, beta_max: float,
-            config: TrainConfig, rng) -> "ActorCritic":
-        policy = PolicyParams.new(
-            obs_dim, n_links, rng, hidden=config.hidden,
-            beta_min_m=beta_min, beta_max_m=beta_max,
-            log_std_init=config.log_std_init,
-        )
-        value_layers = init_layers([obs_dim, *config.hidden, 1], rng, out_scale=1.0)
+            rng) -> "ActorCritic":
+        policy = PolicyParams.new(obs_dim, n_links, rng, beta_min_m=beta_min, beta_max_m=beta_max)
+        value_layers = init_layers([obs_dim, *HIDDEN, 1], rng, out_scale=1.0)
         return cls(policy=policy, value_layers=value_layers)
 
     def param_list(self) -> list[np.ndarray]:
@@ -140,15 +139,14 @@ class _ReturnNormalizer:
     """Running std of the discounted return. Training divides rewards by it so
     the value head regresses O(1) targets regardless of vehicle counts."""
 
-    def __init__(self, gamma: float, n_envs: int):
-        self.gamma = gamma
+    def __init__(self, n_envs: int):
         self.ret = np.zeros(n_envs)
         self.count = 0
         self.mean = 0.0
         self.m2 = 0.0
 
     def update(self, rewards: np.ndarray, dones: np.ndarray) -> np.ndarray:
-        self.ret = self.ret * self.gamma + rewards
+        self.ret = self.ret * GAMMA + rewards
         for r in self.ret:
             self.count += 1
             delta = r - self.mean
@@ -164,8 +162,7 @@ class _ReturnNormalizer:
         return max(math.sqrt(self.m2 / (self.count - 1)), 1e-8)
 
 
-def loss_and_grads(ac: ActorCritic, obs, actions_u, log_probs_old, advantages, returns,
-                   clip_range: float, value_coef: float):
+def loss_and_grads(ac: ActorCritic, obs, actions_u, log_probs_old, advantages, returns):
     """PPO loss on one minibatch and its exact gradients.
 
     Returns (loss, grads aligned with ac.param_list(), stats dict).
@@ -175,7 +172,7 @@ def loss_and_grads(ac: ActorCritic, obs, actions_u, log_probs_old, advantages, r
     log_std = ac.policy.log_std
     logp = gaussian_log_prob(mean, log_std, actions_u)
     ratio = np.exp(logp - log_probs_old)
-    clipped = np.clip(ratio, 1.0 - clip_range, 1.0 + clip_range)
+    clipped = np.clip(ratio, 1.0 - CLIP_RANGE, 1.0 + CLIP_RANGE)
     surr1 = ratio * advantages
     surr2 = clipped * advantages
     surrogate = np.minimum(surr1, surr2)
@@ -186,7 +183,7 @@ def loss_and_grads(ac: ActorCritic, obs, actions_u, log_probs_old, advantages, r
     value_err = v - returns
     value_loss = float(np.mean(value_err ** 2))
 
-    loss = policy_loss + value_coef * value_loss
+    loss = policy_loss + VALUE_COEF * value_loss
 
     # d(policy_loss)/d(ratio): zero where the clipped branch is active.
     unclipped_active = (surr1 <= surr2).astype(float)
@@ -195,7 +192,7 @@ def loss_and_grads(ac: ActorCritic, obs, actions_u, log_probs_old, advantages, r
     dmean, dlog_std = gaussian_log_prob_grads(mean, log_std, actions_u, dlogp)
     pol_grads = mlp_backward(ac.policy.layers, pol_caches, dmean)
 
-    dv = (value_coef * 2.0 / B) * value_err
+    dv = (VALUE_COEF * 2.0 / B) * value_err
     val_grads = mlp_backward(ac.value_layers, val_caches, dv[:, None])
 
     grads: list[np.ndarray] = []
@@ -208,13 +205,12 @@ def loss_and_grads(ac: ActorCritic, obs, actions_u, log_probs_old, advantages, r
     stats = {
         "policy_loss": float(policy_loss),
         "value_loss": value_loss,
-        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > clip_range)),
+        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > CLIP_RANGE)),
     }
     return float(loss), grads, stats
 
 
-def ppo_update(ac: ActorCritic, buffer: RolloutBuffer, config: TrainConfig,
-               adam: Adam, rng) -> dict:
+def ppo_update(ac: ActorCritic, buffer: RolloutBuffer, adam: Adam, rng) -> dict:
     """Run the epochs/minibatch schedule over a full buffer, in place."""
     N = buffer.obs.shape[0]
     adv = buffer.advantages
@@ -222,13 +218,13 @@ def ppo_update(ac: ActorCritic, buffer: RolloutBuffer, config: TrainConfig,
     agg = {"policy_loss": 0.0, "value_loss": 0.0, "clip_fraction": 0.0}
     batches = 0
     params = ac.param_list()
-    for _ in range(config.n_epochs):
+    for _ in range(TrainConfig.n_epochs):
         order = rng.permutation(N)
-        for start in range(0, N, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for start in range(0, N, TrainConfig.batch_size):
+            idx = order[start:start + TrainConfig.batch_size]
             loss, grads, stats = loss_and_grads(
                 ac, buffer.obs[idx], buffer.actions_u[idx], buffer.log_probs[idx],
-                adv[idx], buffer.returns[idx], config.clip_range, config.value_coef,
+                adv[idx], buffer.returns[idx],
             )
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite PPO loss: {loss}")
@@ -255,8 +251,7 @@ def train(scenario: Scenario, config: TrainConfig = TrainConfig()):
     rng = np.random.default_rng(config.seed)
     net = scenario.network
     obs_dim = observation_size(net.n_links)
-    ac = ActorCritic.new(obs_dim, net.n_links, net.beta_min_m, net.beta_max_m,
-                         config, rng)
+    ac = ActorCritic.new(obs_dim, net.n_links, net.beta_min_m, net.beta_max_m, rng)
 
     n_updates = config.total_steps // config.n_steps
     curve: list[dict] = []
@@ -274,8 +269,8 @@ def train(scenario: Scenario, config: TrainConfig = TrainConfig()):
         return (config.seed * 1_000_003 + episode_counter) % (2**63)
 
     obs_now = np.stack([env.reset(next_episode_seed()) for env in envs])
-    normalizer = _ReturnNormalizer(config.gamma, config.n_envs)
-    adam = Adam([p.shape for p in ac.param_list()], lr=config.learning_rate)
+    normalizer = _ReturnNormalizer(config.n_envs)
+    adam = Adam([p.shape for p in ac.param_list()], lr=LEARNING_RATE)
     best_ttt = math.inf
 
     E, S, D, A = config.n_envs, steps_per_env, obs_dim, net.n_links
@@ -315,8 +310,7 @@ def train(scenario: Scenario, config: TrainConfig = TrainConfig()):
         ret_buf = np.zeros((E, S))
         for e in range(E):
             adv_buf[e], ret_buf[e] = compute_gae(
-                rew_buf[e], np.append(val_buf[e], bootstrap[e]), done_buf[e],
-                config.gamma, config.gae_lambda,
+                rew_buf[e], np.append(val_buf[e], bootstrap[e]), done_buf[e], GAMMA, GAE_LAMBDA,
             )
 
         buffer = RolloutBuffer(
@@ -326,7 +320,7 @@ def train(scenario: Scenario, config: TrainConfig = TrainConfig()):
             advantages=adv_buf.reshape(E * S),
             returns=ret_buf.reshape(E * S),
         )
-        stats = ppo_update(ac, buffer, config, adam, rng)
+        stats = ppo_update(ac, buffer, adam, rng)
 
         eval_ttts = evaluate_policy(scenario, ac.policy, config.eval_seeds)
         mean_ttt = float(np.mean(eval_ttts))

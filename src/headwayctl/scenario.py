@@ -36,7 +36,11 @@ DEFAULT_PEAK_FACTOR = 6.0
 
 # Initial loading of the entry links, as a fraction of critical count at the
 # human headway.
-DEFAULT_INITIAL_FILL = 0.30
+INITIAL_FILL = 0.30
+
+# Demand pulse (s): ramp up to the peak, hold it, ramp down to zero, and
+# stay at zero to the end of the 200-minute horizon.
+RAMP_UP_S, HOLD_UNTIL_S, RAMP_DOWN_UNTIL_S, DEMAND_END_S = 2_400.0, 4_800.0, 7_200.0, 12_000.0
 
 # Longest episode a scenario may ask for, in sim steps (the built-in
 # scenarios take 200). Anything longer is almost surely a typo in dt_s or
@@ -109,17 +113,15 @@ class Scenario:
                 raise ConfigError(f"initial count on link {link_id} exceeds jam density")
 
 
-def trapezoid_demand(peak_vps: float, autonomy_fraction: float,
-                     ramp_up_s: float = 2_400.0, hold_until_s: float = 4_800.0,
-                     ramp_down_until_s: float = 7_200.0, end_s: float = 12_000.0) -> DemandProfile:
+def trapezoid_demand(peak_vps: float, autonomy_fraction: float) -> DemandProfile:
     """Peak-hour style profile: ramp to peak, hold, ramp to zero, cool down."""
     return DemandProfile(
         breakpoints=(
             (0.0, 0.0),
-            (ramp_up_s, peak_vps),
-            (hold_until_s, peak_vps),
-            (ramp_down_until_s, 0.0),
-            (end_s, 0.0),
+            (RAMP_UP_S, peak_vps),
+            (HOLD_UNTIL_S, peak_vps),
+            (RAMP_DOWN_UNTIL_S, 0.0),
+            (DEMAND_END_S, 0.0),
         ),
         autonomy_fraction=autonomy_fraction,
     )
@@ -130,22 +132,22 @@ def _entry_link_capacity_vps(network: Network) -> float:
     return link0.free_flow_speed_mps * link0.lanes / network.beta_h_m
 
 
-def _default_initial_counts(network: Network, fill: float) -> dict[int, float]:
+def _default_initial_counts(network: Network) -> dict[int, float]:
     # Load the two entry links so the top of the network starts crowded.
     counts = {}
     for link_id in (0, 2):
         link = network.links[link_id]
         critical_count = link.lanes / network.beta_h_m * link.length_m
-        counts[link_id] = fill * critical_count
+        counts[link_id] = INITIAL_FILL * critical_count
     return counts
 
 
 def _braess_scenario(network: Network, autonomy_fraction: float, peak_factor: float,
-                     initial_fill: float, mu_h: float, mu_a: float, seed: int) -> Scenario:
+                     mu_h: float, mu_a: float, seed: int) -> Scenario:
     peak = peak_factor * _entry_link_capacity_vps(network)
     demand = trapezoid_demand(peak, autonomy_fraction)
     sim = SimConfig(
-        initial_counts=_default_initial_counts(network, initial_fill),
+        initial_counts=_default_initial_counts(network),
         mu_h=mu_h,
         mu_a=mu_a,
         seed=seed,
@@ -154,17 +156,13 @@ def _braess_scenario(network: Network, autonomy_fraction: float, peak_factor: fl
 
 
 def braess5_scenario(autonomy_fraction: float = 0.8, peak_factor: float = DEFAULT_PEAK_FACTOR,
-                     initial_fill: float = DEFAULT_INITIAL_FILL, mu_h: float = 0.1,
-                     mu_a: float = 0.1, seed: int = 0) -> Scenario:
-    return _braess_scenario(build_braess_5(), autonomy_fraction, peak_factor,
-                            initial_fill, mu_h, mu_a, seed)
+                     mu_h: float = 0.1, mu_a: float = 0.1, seed: int = 0) -> Scenario:
+    return _braess_scenario(build_braess_5(), autonomy_fraction, peak_factor, mu_h, mu_a, seed)
 
 
 def braess8_scenario(autonomy_fraction: float = 0.8, peak_factor: float = DEFAULT_PEAK_FACTOR,
-                     initial_fill: float = DEFAULT_INITIAL_FILL, mu_h: float = 0.1,
-                     mu_a: float = 0.1, seed: int = 0) -> Scenario:
-    return _braess_scenario(build_braess_8(), autonomy_fraction, peak_factor,
-                            initial_fill, mu_h, mu_a, seed)
+                     mu_h: float = 0.1, mu_a: float = 0.1, seed: int = 0) -> Scenario:
+    return _braess_scenario(build_braess_8(), autonomy_fraction, peak_factor, mu_h, mu_a, seed)
 
 
 BUILTIN_SCENARIOS = {
@@ -230,14 +228,22 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ConfigError(f"malformed scenario document: {exc}") from exc
 
 
+def _integer(value, name: str) -> int:
+    """A whole number, refusing what ``int()`` would silently truncate."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _scenario_from_dict(data: dict) -> Scenario:
     links = tuple(
         Link(
-            id=int(entry["id"]),
+            id=_integer(entry["id"], "link id"),
             from_node=str(entry["from"]),
             to_node=str(entry["to"]),
             length_m=float(entry["length_m"]),
-            lanes=int(entry["lanes"]),
+            lanes=_integer(entry["lanes"], f"link {entry['id']} lanes"),
             free_flow_speed_mps=float(entry["vff_mps"]),
             jam_spacing_m=float(entry["jam_spacing_m"]),
         )
@@ -267,7 +273,7 @@ def _scenario_from_dict(data: dict) -> Scenario:
         initial_counts={int(k): float(v) for k, v in sim_section.get("initial_counts", {}).items()},
         mu_h=float(sim_section["mu_h"]),
         mu_a=float(sim_section["mu_a"]),
-        seed=int(sim_section.get("seed", 0)),
+        seed=_integer(sim_section.get("seed", 0), "sim seed"),
         initial_jitter=float(sim_section.get("initial_jitter", 0.05)),
         latency_unit_s=float(sim_section.get("latency_unit_s", 60.0)),
         reward_scale=float(sim_section.get("reward_scale", 1e-3)),
@@ -284,13 +290,10 @@ def load_scenario(spec: str | FsPath) -> Scenario:
     name = str(spec)
     if name in BUILTIN_SCENARIOS:
         return BUILTIN_SCENARIOS[name]()
-    path = FsPath(spec)
-    if not path.exists():
-        raise ScenarioFileError(f"scenario not found: {spec}")
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioFileError(f"scenario is not valid JSON: {spec}: {exc}") from exc
+        data = json.loads(FsPath(spec).read_text())
+    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
+        raise ScenarioFileError(f"cannot read scenario {spec}: {exc}") from exc
     return scenario_from_dict(data)
 
 

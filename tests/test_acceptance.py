@@ -206,7 +206,7 @@ def test_criterion_7_gradient_check():
     for seed in range(20):
         ac, obs, u, logp_old, adv, ret = small_instance(seed)
         params = ac.param_list()
-        _, grads, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret, 0.2, 0.5)
+        _, grads, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret)
         flat_g = flatten_arrays(grads)
         base = flatten_arrays(params)
         rng = np.random.default_rng(seed + 500)
@@ -217,11 +217,11 @@ def test_criterion_7_gradient_check():
             probe[i] += h_step
             for dst, src in zip(params, unflatten_like(probe, params)):
                 dst[...] = src
-            plus, _, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret, 0.2, 0.5)
+            plus, _, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret)
             probe[i] -= 2 * h_step
             for dst, src in zip(params, unflatten_like(probe, params)):
                 dst[...] = src
-            minus, _, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret, 0.2, 0.5)
+            minus, _, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret)
             for dst, src in zip(params, unflatten_like(base, params)):
                 dst[...] = src
             fd = (plus - minus) / (2 * h_step)

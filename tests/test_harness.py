@@ -90,6 +90,36 @@ class TestSimulate:
         assert len(rows) == 1 + 20 * 5  # header + steps*links
 
 
+class TestUnreadablePaths:
+    """A path that is a directory, is not UTF-8, or (for --out) names a file
+    exits with its documented code instead of a traceback."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["simulate", "--out", "{file}"], EXIT_USAGE),
+        (["simulate", "--scenario", "{dir}"], EXIT_USAGE),
+        (["simulate", "--scenario", "{binary}"], EXIT_USAGE),
+        (["heatmap", "--trace", "{dir}"], EXIT_USAGE),
+        (["heatmap", "--trace", "{binary}"], EXIT_USAGE),
+        (["simulate", "--controller", "policy:{dir}"], EXIT_CHECKPOINT),
+        (["simulate", "--controller", "policy:{binary}"], EXIT_CHECKPOINT),
+        (["simulate", "--from-manifest", "{dir}"], EXIT_USAGE),
+        (["simulate", "--from-manifest", "{binary}"], EXIT_USAGE),
+    ], ids=["out-file", "scenario-dir", "scenario-binary", "trace-dir", "trace-binary",
+            "checkpoint-dir", "checkpoint-binary", "manifest-dir", "manifest-binary"])
+    def test_exit_code(self, argv, code, tmp_path):
+        paths = {"file": tmp_path / "file", "dir": tmp_path / "dir",
+                 "binary": tmp_path / "binary.json"}
+        paths["file"].write_text("")
+        paths["dir"].mkdir()
+        paths["binary"].write_bytes(b"\xff\xfe{}")
+        argv = [arg.format(**paths) for arg in argv]
+        out = tmp_path / "out"
+        if "--out" not in argv:
+            argv += ["--out", str(out)]
+        assert main(argv) == code
+        assert not out.exists()
+
+
 class TestManifestReplay:
     def test_simulate_replay_is_byte_identical(self, short_scenario, tmp_path):
         first = tmp_path / "first"
@@ -162,7 +192,7 @@ class TestSweeps:
         assert rows[0] == "mu,mean_ttt,std_ttt,n_seeds"
         assert len(rows) == 4
         doc = json.loads((out / "manifest.json").read_text())
-        assert doc["options"]["mu_axis_scale"] == "log"
+        assert doc["command"] == "sweep-mu"
 
     def test_sweep_mu_empty_list_exit_2(self, short_scenario, tmp_path):
         code = main(["sweep-mu", "--scenario", short_scenario,
@@ -445,6 +475,19 @@ class TestFailFastScenario:
         def edit(doc):
             doc["sim"]["dt_s"] = "one minute"
         self.assert_rejected(tmp_path, edit, "malformed")
+
+    @pytest.mark.parametrize("where, value", [
+        ("lanes", 2.7), ("lanes", True), ("id", 0.5), ("id", False),
+        ("seed", 2.5), ("seed", True),
+    ])
+    def test_non_integral_integer_field(self, tmp_path, where, value):
+        # int() would truncate these: 2.7 lanes to 2, id 0.5 to link 0.
+        def edit(doc):
+            if where == "seed":
+                doc["sim"]["seed"] = value
+            else:
+                doc["network"]["links"][0][where] = value
+        self.assert_rejected(tmp_path, edit, "must be an integer")
 
 
 class TestCheckpointValidation:

@@ -57,7 +57,8 @@ class TestPolicyAct:
         # Training squashes pre-squash samples mean + exp(log_std) * noise
         # (ppo.train); wide noise reaches both tails of the sigmoid.
         rng = np.random.default_rng(3)
-        params = PolicyParams.new(12, 5, rng, log_std_init=2.0)
+        params = PolicyParams.new(12, 5, rng)
+        params.log_std[:] = 2.0
         obs = rng.uniform(size=(100, 12))
         mean, _ = mlp_forward(params.layers, obs)
         u = mean + np.exp(params.log_std) * rng.standard_normal(mean.shape)

@@ -127,8 +127,7 @@ class TestGAE:
 def small_instance(seed, n_obs=3, n_act=2, batch=8, ratio_spread=0.05):
     """Random PPO minibatch with ratios safely inside the clip band."""
     rng = np.random.default_rng(seed)
-    cfg = TrainConfig(n_steps=64, batch_size=8, n_envs=4, total_steps=0)
-    ac = ActorCritic.new(n_obs, n_act, 1.0, 10.0, cfg, rng)
+    ac = ActorCritic.new(n_obs, n_act, 1.0, 10.0, rng)
     for W, b in ac.policy.layers + ac.value_layers:
         W += rng.normal(0.0, 0.05, size=W.shape)
         b += rng.normal(0.0, 0.05, size=b.shape)
@@ -151,8 +150,7 @@ class TestClippedSurrogate:
         logp_now = gaussian_log_prob(mean, ac.policy.log_std, u)
         logp_old = logp_now - math.log(1.3)
         ret = ac.value(obs)  # zero value loss
-        loss, _, stats = loss_and_grads(ac, obs, u, logp_old, np.array([1.0]), ret,
-                                        clip_range=0.2, value_coef=0.5)
+        loss, _, stats = loss_and_grads(ac, obs, u, logp_old, np.array([1.0]), ret)
         assert loss == pytest.approx(-1.2, rel=1e-9)
         assert stats["clip_fraction"] == 1.0
 
@@ -169,7 +167,7 @@ class TestClippedSurrogate:
         ac, obs, u, _, adv, ret = small_instance(1)
         mean, _ = mlp_forward(ac.policy.layers, obs)
         logp_old = gaussian_log_prob(mean, ac.policy.log_std, u)
-        _, _, stats = loss_and_grads(ac, obs, u, logp_old, adv, ret, 0.2, 0.5)
+        _, _, stats = loss_and_grads(ac, obs, u, logp_old, adv, ret)
         assert stats["clip_fraction"] == 0.0
 
     def test_unit_ratio_gradient_equals_reinforce_with_baseline(self):
@@ -178,7 +176,7 @@ class TestClippedSurrogate:
         ac, obs, u, _, adv, ret = small_instance(2)
         mean, caches = mlp_forward(ac.policy.layers, obs)
         logp_old = gaussian_log_prob(mean, ac.policy.log_std, u)
-        _, grads, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret, 0.2, 0.5)
+        _, grads, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret)
 
         from headwayctl.nn import gaussian_log_prob_grads
 
@@ -201,7 +199,7 @@ class TestGradientOracle:
         for seed in range(20):
             ac, obs, u, logp_old, adv, ret = small_instance(seed)
             params = ac.param_list()
-            loss, grads, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret, 0.2, 0.5)
+            loss, grads, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret)
             flat_g = flatten_arrays(grads)
             flat_p = flatten_arrays(params)
 
@@ -209,7 +207,7 @@ class TestGradientOracle:
                 restored = unflatten_like(vec, params)
                 for dst, src in zip(params, restored):
                     dst[...] = src
-                value, _, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret, 0.2, 0.5)
+                value, _, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret)
                 return value
 
             h = 1e-5
@@ -241,7 +239,7 @@ class TestAdvantageNormalization:
 class TestReturnNormalizer:
     def test_scales_toward_unit_returns(self):
         rng = np.random.default_rng(12)
-        norm = _ReturnNormalizer(gamma=0.99, n_envs=2)
+        norm = _ReturnNormalizer(n_envs=2)
         for _ in range(500):
             r = rng.normal(-1000.0, 50.0, size=2)
             out = norm.update(r, np.zeros(2))
@@ -254,15 +252,14 @@ class TestReturnNormalizer:
 class TestTrainLoop:
     def test_zero_budget_returns_initial_params(self):
         sc = single_link_scenario(horizon_s=1_200.0)
-        cfg = TrainConfig(total_steps=0, n_steps=64, batch_size=8, n_envs=4, seed=1)
+        cfg = TrainConfig(total_steps=0, n_steps=64, n_envs=4, seed=1)
         params, curve = train(sc, cfg)
         assert curve == []
         assert params.n_actions == 1
 
     def test_deterministic_given_seed(self):
         sc = single_link_scenario(horizon_s=1_200.0, demand_peak=0.5)
-        cfg = TrainConfig(total_steps=128, n_steps=64, batch_size=8, n_envs=4,
-                          n_epochs=2, seed=3)
+        cfg = TrainConfig(total_steps=128, n_steps=64, n_envs=4, seed=3)
         p1, c1 = train(sc, cfg)
         p2, c2 = train(sc, cfg)
         assert c1 == c2
@@ -271,8 +268,7 @@ class TestTrainLoop:
 
     def test_curve_rows_and_best_monotone(self):
         sc = single_link_scenario(horizon_s=1_200.0, demand_peak=0.5)
-        cfg = TrainConfig(total_steps=192, n_steps=64, batch_size=8, n_envs=4,
-                          n_epochs=2, seed=4)
+        cfg = TrainConfig(total_steps=192, n_steps=64, n_envs=4, seed=4)
         _, curve = train(sc, cfg)
         assert len(curve) == 3
         best = [row["best_eval_ttt"] for row in curve]
@@ -285,11 +281,9 @@ class TestTrainLoop:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(clip_range=0.0)
+            TrainConfig(n_steps=100)
         with pytest.raises(ValueError):
-            TrainConfig(n_steps=100, batch_size=64)
-        with pytest.raises(ValueError):
-            TrainConfig(n_steps=64, batch_size=8, n_envs=5)
+            TrainConfig(n_steps=64, n_envs=5)
 
     def test_evaluate_policy_is_run_episode_ttt(self):
         # One TTT definition: evaluation runs the same episode as

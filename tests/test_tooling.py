@@ -1,9 +1,10 @@
-"""The benchmark's per-layer tracer still finds every name it patches.
+"""The benchmark still finds every name it reads from the program.
 
 ``perfbench/tracer.py`` wraps the program's layer functions by name. Entering
 and leaving a ``Tracer`` patches and restores them without running anything,
 so a refactor that renames or deletes one of those names fails here, not
-only in a traced benchmark run.
+only in a traced benchmark run. ``perfbench/workloads.py`` reads training
+values off ``TrainConfig()``; the last test pins those names.
 """
 
 import importlib
@@ -39,3 +40,16 @@ def test_tracer_patches_and_restores_every_layer():
             assert vars(owner)[attr].__wrapped__ is original, f"{owner.__name__}.{attr}"
     for (owner, attr), original in zip(sites, originals):
         assert vars(owner)[attr] is original, f"{owner.__name__}.{attr}"
+
+
+def test_train_config_holds_only_the_cli_values():
+    """The four values the CLI sets are fields; every other training value is a
+    constant, and ``TrainConfig()`` still answers each name the benchmark reads."""
+    from dataclasses import fields
+
+    from headwayctl.ppo import TrainConfig
+
+    assert [f.name for f in fields(TrainConfig)] == ["total_steps", "seed", "n_steps", "n_envs"]
+    config = TrainConfig()
+    for name in ("n_steps", "n_envs", "n_epochs", "batch_size", "eval_seeds"):
+        assert getattr(config, name) is not None, name
