@@ -23,7 +23,6 @@ from .network import (
     Network,
     ODPair,
     Path,
-    ScenarioError,
     build_braess_5,
     build_braess_8,
     demand_at,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fundamental as fd
-from .network import ConfigError, demand_at
+from .network import demand_at
 from .routing import AUTO, HUMAN, step_shares
 from .scenario import Scenario
 
@@ -172,8 +172,6 @@ class TrafficEnv:
             count = base
             if self.sim.initial_jitter > 0.0:
                 count = base * (1.0 + self.sim.initial_jitter * rng.uniform(-1.0, 1.0))
-            if count / self._length[link_id] > self._jam[link_id]:
-                raise ConfigError(f"initial count on link {link_id} exceeds jam density")
             # Split the cohort across the paths that traverse this link, per
             # the (uniform) shares, and across classes by the autonomy fraction.
             carriers = [p for p, links in enumerate(self._paths) if link_id in links]

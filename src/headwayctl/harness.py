@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import TRACE_CSV_HEADER, run_episode, trace_to_csv_rows
 from .heatmap import write_heatmap
-from .network import ConfigError, ScenarioError
+from .network import ConfigError
 from .policies import CheckpointError, make_controller, save_checkpoint
 from .ppo import LEARNING_CURVE_HEADER, TrainConfig, evaluate_policy, train
 from .scenario import Scenario, load_scenario, scenario_to_dict
@@ -108,18 +108,21 @@ def _train_config(options: dict) -> TrainConfig:
                        n_steps=options["n_steps"], n_envs=options["n_envs"])
 
 
-def _controller_ttts(scenario: Scenario, name: str, seeds) -> list[float]:
-    controller = make_controller(name, scenario.network)
+def _controller_ttts(scenario: Scenario, controller, seeds) -> list[float]:
     return [run_episode(scenario, controller, s).ttt for s in seeds]
 
 
-def _policy_ttts(scenario: Scenario, options: dict) -> list[float]:
-    """Per-seed TTT of a sweep's policy column: a policy trained for
-    ``--budget`` decision steps if the budget is positive, else ``--controller``."""
+def _policy_column(scenario: Scenario, options: dict):
+    """Per-seed TTTs of a sweep's policy column, as a function of the swept
+    scenario: a policy trained for ``--budget`` decision steps if the budget is
+    positive, else ``--controller``. The training options and the controller
+    are checked here, before any run."""
+    config = _train_config(options)
+    controller = make_controller(options["controller"], scenario.network)
+    seeds = options["seeds"]
     if options["budget"] > 0:
-        params, _ = train(scenario, _train_config(options))
-        return evaluate_policy(scenario, params, options["seeds"])
-    return _controller_ttts(scenario, options["controller"], options["seeds"])
+        return lambda sc: evaluate_policy(sc, train(sc, config)[0], seeds)
+    return lambda sc: _controller_ttts(sc, controller, seeds)
 
 
 # ----------------------------------------------------------------------
@@ -167,11 +170,13 @@ def cmd_sweep_mu(options: dict) -> int:
     if not mus:
         raise ConfigError("empty mu list")
     scenario = load_scenario(options["scenario"])
+    swept = [_with_mu(scenario, mu) for mu in mus]
+    policy_ttts = _policy_column(scenario, options)
     out = _out_dir(options)
 
     rows = []
-    for mu in mus:
-        ttts = _policy_ttts(_with_mu(scenario, mu), options)
+    for mu, sc in zip(mus, swept):
+        ttts = policy_ttts(sc)
         rows.append([mu, float(np.mean(ttts)), float(np.std(ttts)), len(ttts)])
     write_csv(out / "sweep_mu.csv", ["mu", "mean_ttt", "std_ttt", "n_seeds"], rows)
     _write_manifest(out, "sweep-mu", options, scenario)
@@ -182,19 +187,18 @@ def cmd_sweep_alpha(options: dict) -> int:
     alphas = options["alpha"]
     if not alphas:
         raise ConfigError("empty alpha list")
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise ConfigError(f"alpha {a} outside [0, 1]")
     scenario = load_scenario(options["scenario"])
+    swept = [_with_alpha(scenario, alpha) for alpha in alphas]
+    policy_ttts = _policy_column(scenario, options)
+    uniform, minimum = (make_controller(name, scenario.network) for name in ("uniform", "min"))
     seeds = options["seeds"]
     out = _out_dir(options)
 
     rows = []
-    for alpha in alphas:
-        sc = _with_alpha(scenario, alpha)
+    for alpha, sc in zip(alphas, swept):
         row = [alpha]
-        for ttts in (_policy_ttts(sc, options), _controller_ttts(sc, "uniform", seeds),
-                     _controller_ttts(sc, "min", seeds)):
+        for ttts in (policy_ttts(sc), _controller_ttts(sc, uniform, seeds),
+                     _controller_ttts(sc, minimum, seeds)):
             row.extend([float(np.mean(ttts)), float(np.std(ttts))])
         rows.append(row)
     write_csv(out / "sweep_alpha.csv",
@@ -279,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     every = " ".join(commands)
     add(every, "--scenario", default="braess5",
         help="built-in name (braess5, braess8) or scenario JSON path")
-    add(every, "--out", default=None, help="output directory (required)")
+    add(every, "--out", required=True, help="output directory")
     add(every, "--from-manifest", default=None, dest="from_manifest",
         help="re-run with the options stored in a manifest")
     add("simulate evaluate train sweep-mu sweep-alpha", "--seed", type=_int_list, default=[0],
@@ -299,15 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _replay_options(parser: argparse.ArgumentParser, command: str, stored: dict,
-                    out: str | None) -> dict:
+                    out: str) -> dict:
     """Pass a manifest's stored options back through the command's own flags,
     so that a replay meets every check the command line makes. Each option the
     command takes must be stored, as the value its flag would parse to."""
-    if out is not None:
-        stored = {**stored, "out": out}
+    stored = {**stored, "out": out}
     argv = [command]
     try:
-        for dest in vars(parser.parse_args([command])):
+        for dest in vars(parser.parse_args([command, f"--out={out}"])):
             if dest in ("command", "from_manifest"):
                 continue
             if dest not in stored:
@@ -331,24 +334,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     options = vars(parser.parse_args(argv))
     manifest = options.pop("from_manifest")
-    if manifest:
-        try:
+    try:
+        if manifest:
             command, stored, stored_sha256 = _load_manifest(manifest)
             options = _replay_options(parser, command, stored, options["out"])
             _check_replay_scenario(options, stored_sha256)
-        except (ConfigError, ScenarioError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    if options["out"] is None:
-        print("error: --out is required", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
         return _DISPATCH[options["command"]](options)
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
-    except (ScenarioError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

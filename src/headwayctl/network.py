@@ -1,7 +1,7 @@
-"""Road network model: links, the O/D pair, path enumeration, demand profiles.
+"""Road network model: links, the one O/D pair and its paths, demand profiles.
 
-Networks are immutable after construction and safe to share between
-concurrently running simulations.
+Every object is frozen and checks its values when built: a bad value, or
+an origin that cannot reach its destination, raises ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -14,11 +14,7 @@ import numpy as np
 
 
 class ConfigError(ValueError):
-    """Invalid network or scenario configuration."""
-
-
-class ScenarioError(ValueError):
-    """A scenario cannot be realized (e.g. origin cannot reach destination)."""
+    """Invalid network or scenario: unreadable, malformed, out of range or unroutable."""
 
 
 def _finite_positive(x: float) -> bool:
@@ -171,7 +167,7 @@ def enumerate_paths(links: Sequence[Link], origin: str, destination: str) -> lis
     """All simple directed paths from origin to destination.
 
     Deterministic order: lexicographic by link-id sequence. Raises
-    ScenarioError when no path exists.
+    ConfigError when no path exists.
     """
     out_links: dict[str, list[Link]] = {}
     for link in links:
@@ -196,7 +192,7 @@ def enumerate_paths(links: Sequence[Link], origin: str, destination: str) -> lis
 
     walk(origin, {origin}, [])
     if not found:
-        raise ScenarioError(f"no path from {origin} to {destination}")
+        raise ConfigError(f"no path from {origin} to {destination}")
     found.sort()
     return [Path(id=i, links=seq) for i, seq in enumerate(found)]
 

@@ -15,7 +15,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .engine import observation_size
-from .network import Network
+from .network import ConfigError, Network
 from .nn import init_layers, mlp_forward
 
 CHECKPOINT_FORMAT = "headwayctl-policy"
@@ -165,4 +165,4 @@ def make_controller(name: str, network: Network):
                 f"{observation_size(network.n_links)}"
             )
         return lambda obs: policy_act(params, obs)
-    raise ValueError(f"unknown controller {name!r} (want uniform, min, or policy:<path>)")
+    raise ConfigError(f"unknown controller {name!r} (want uniform, min, or policy:<path>)")

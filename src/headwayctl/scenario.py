@@ -3,7 +3,11 @@
 The on-disk format has five sections: ``network`` (links array), ``od``
 (single origin/destination plus autonomy split), ``demand`` (piecewise-linear
 breakpoints), ``control`` (headway bounds and action cadence) and ``sim``
-(step sizes, initial loading, rationality factors, seed).
+(step sizes, initial loading, rationality factors). Every random draw comes
+from the episode seed, so a scenario holds none; keys the format does not
+name, such as the ``sim.seed`` of older files, are ignored. Any bad
+scenario, from an unreadable file to an origin with no path to its
+destination, raises ``ConfigError`` when it is loaded or built.
 """
 
 from __future__ import annotations
@@ -19,11 +23,13 @@ from .network import (
     Link,
     Network,
     ODPair,
-    ScenarioError,
     build_braess_5,
     build_braess_8,
     enumerate_paths,
 )
+
+# Share of the built-in scenarios' demand that is autonomous.
+AUTONOMY_FRACTION = 0.8
 
 # Fraction of link 0's human-headway capacity injected at the demand peak.
 # The 240 km links drain over ~8000 s, far slower than the demand pulse, so
@@ -32,7 +38,7 @@ from .network import (
 # the whole episode in free flow, where headway control cannot change
 # anything. Calibrated so the constant-human-headway baseline spends roughly
 # a third of its link-steps congested.
-DEFAULT_PEAK_FACTOR = 6.0
+PEAK_FACTOR = 6.0
 
 # Initial loading of the entry links, as a fraction of critical count at the
 # human headway.
@@ -56,7 +62,6 @@ class SimConfig:
     initial_counts: dict[int, float] = field(default_factory=dict)
     mu_h: float = 0.1
     mu_a: float = 0.1
-    seed: int = 0
     # Per-seed multiplicative jitter applied to the initial counts.
     initial_jitter: float = 0.05
     # Latencies are divided by this before entering the route-choice
@@ -109,60 +114,36 @@ class Scenario:
             if not (math.isfinite(count) and count >= 0):
                 raise ConfigError(f"initial count on link {link_id} must be finite and "
                                   f"non-negative, got {count}")
-            if count / link.length_m > link.jam_density:
-                raise ConfigError(f"initial count on link {link_id} exceeds jam density")
+            # The most that reset's jitter can draw, so no episode starts above jam.
+            if count * (1.0 + self.sim.initial_jitter) / link.length_m > link.jam_density:
+                raise ConfigError(f"initial count on link {link_id}, jittered up by "
+                                  f"{self.sim.initial_jitter}, exceeds jam density")
 
 
-def trapezoid_demand(peak_vps: float, autonomy_fraction: float) -> DemandProfile:
-    """Peak-hour style profile: ramp to peak, hold, ramp to zero, cool down."""
-    return DemandProfile(
-        breakpoints=(
-            (0.0, 0.0),
-            (RAMP_UP_S, peak_vps),
-            (HOLD_UNTIL_S, peak_vps),
-            (RAMP_DOWN_UNTIL_S, 0.0),
-            (DEMAND_END_S, 0.0),
-        ),
-        autonomy_fraction=autonomy_fraction,
-    )
-
-
-def _entry_link_capacity_vps(network: Network) -> float:
+def _braess_scenario(network: Network) -> Scenario:
+    """Peak-hour demand (ramp to the peak, hold, ramp to zero, cool down) and
+    the two entry links loaded so the top of the network starts crowded."""
     link0 = network.links[0]
-    return link0.free_flow_speed_mps * link0.lanes / network.beta_h_m
-
-
-def _default_initial_counts(network: Network) -> dict[int, float]:
-    # Load the two entry links so the top of the network starts crowded.
-    counts = {}
+    peak = PEAK_FACTOR * (link0.free_flow_speed_mps * link0.lanes / network.beta_h_m)
+    demand = DemandProfile(
+        breakpoints=((0.0, 0.0), (RAMP_UP_S, peak), (HOLD_UNTIL_S, peak),
+                     (RAMP_DOWN_UNTIL_S, 0.0), (DEMAND_END_S, 0.0)),
+        autonomy_fraction=AUTONOMY_FRACTION,
+    )
+    initial_counts = {}
     for link_id in (0, 2):
         link = network.links[link_id]
         critical_count = link.lanes / network.beta_h_m * link.length_m
-        counts[link_id] = INITIAL_FILL * critical_count
-    return counts
+        initial_counts[link_id] = INITIAL_FILL * critical_count
+    return Scenario(network=network, demand=demand, sim=SimConfig(initial_counts=initial_counts))
 
 
-def _braess_scenario(network: Network, autonomy_fraction: float, peak_factor: float,
-                     mu_h: float, mu_a: float, seed: int) -> Scenario:
-    peak = peak_factor * _entry_link_capacity_vps(network)
-    demand = trapezoid_demand(peak, autonomy_fraction)
-    sim = SimConfig(
-        initial_counts=_default_initial_counts(network),
-        mu_h=mu_h,
-        mu_a=mu_a,
-        seed=seed,
-    )
-    return Scenario(network=network, demand=demand, sim=sim)
+def braess5_scenario() -> Scenario:
+    return _braess_scenario(build_braess_5())
 
 
-def braess5_scenario(autonomy_fraction: float = 0.8, peak_factor: float = DEFAULT_PEAK_FACTOR,
-                     mu_h: float = 0.1, mu_a: float = 0.1, seed: int = 0) -> Scenario:
-    return _braess_scenario(build_braess_5(), autonomy_fraction, peak_factor, mu_h, mu_a, seed)
-
-
-def braess8_scenario(autonomy_fraction: float = 0.8, peak_factor: float = DEFAULT_PEAK_FACTOR,
-                     mu_h: float = 0.1, mu_a: float = 0.1, seed: int = 0) -> Scenario:
-    return _braess_scenario(build_braess_8(), autonomy_fraction, peak_factor, mu_h, mu_a, seed)
+def braess8_scenario() -> Scenario:
+    return _braess_scenario(build_braess_8())
 
 
 BUILTIN_SCENARIOS = {
@@ -210,7 +191,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "initial_counts": {str(k): v for k, v in sim.initial_counts.items()},
             "mu_h": sim.mu_h,
             "mu_a": sim.mu_a,
-            "seed": sim.seed,
             "initial_jitter": sim.initial_jitter,
             "latency_unit_s": sim.latency_unit_s,
             "reward_scale": sim.reward_scale,
@@ -222,7 +202,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     """Build and validate a scenario; any bad field raises ConfigError."""
     try:
         return _scenario_from_dict(data)
-    except (ConfigError, ScenarioError):
+    except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"malformed scenario document: {exc}") from exc
@@ -273,7 +253,6 @@ def _scenario_from_dict(data: dict) -> Scenario:
         initial_counts={int(k): float(v) for k, v in sim_section.get("initial_counts", {}).items()},
         mu_h=float(sim_section["mu_h"]),
         mu_a=float(sim_section["mu_a"]),
-        seed=_integer(sim_section.get("seed", 0), "sim seed"),
         initial_jitter=float(sim_section.get("initial_jitter", 0.05)),
         latency_unit_s=float(sim_section.get("latency_unit_s", 60.0)),
         reward_scale=float(sim_section.get("reward_scale", 1e-3)),
@@ -293,9 +272,5 @@ def load_scenario(spec: str | FsPath) -> Scenario:
     try:
         data = json.loads(FsPath(spec).read_text())
     except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
-        raise ScenarioFileError(f"cannot read scenario {spec}: {exc}") from exc
+        raise ConfigError(f"cannot read scenario {spec}: {exc}") from exc
     return scenario_from_dict(data)
-
-
-class ScenarioFileError(ConfigError):
-    """Scenario file missing or unreadable."""

@@ -9,6 +9,7 @@ the criterion faithfully and reports the measured gap.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,7 +236,8 @@ def test_criterion_7_gradient_check():
 
 def test_criterion_8_alpha_zero_neutrality(tmp_path):
     start = time.time()
-    sc = braess5_scenario(autonomy_fraction=0.0)
+    sc = braess5_scenario()
+    sc = replace(sc, demand=replace(sc.demand, autonomy_fraction=0.0))
     env = TrafficEnv(sc)
     rng = np.random.default_rng(0)
     params = h.PolicyParams.new(env.obs_dim, 5, rng)

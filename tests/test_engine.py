@@ -382,8 +382,8 @@ class TestDeterminism:
     def test_baseline_equivalence_alpha_inert_at_human_headway(self):
         # With beta_a == beta_h everywhere and equal rationality factors,
         # the autonomy split must not affect the aggregate dynamics.
-        base = braess5_scenario(autonomy_fraction=0.0)
-        mixed = braess5_scenario(autonomy_fraction=0.8)
+        mixed = braess5_scenario()  # autonomy fraction 0.8
+        base = replace(mixed, demand=replace(mixed.demand, autonomy_fraction=0.0))
         ctrl = lambda obs: uniform_headway_policy(base.network)
         t0 = run_episode(base, ctrl, seed=7)
         t1 = run_episode(mixed, ctrl, seed=7)

@@ -7,6 +7,8 @@ its trace must match bit for bit, step after step, including where links are
 rationed, paths exit, and route shares underflow to zero.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -110,10 +112,20 @@ def loop_step(env):
     return row, exited_now
 
 
+def fast_routing_scenario():
+    """braess5 with sharp route choice and its demand scaled from peak factor
+    6 to 9, so that within one episode links are rationed, vehicles exit and
+    route shares underflow to zero."""
+    sc = braess5_scenario()
+    demand = replace(sc.demand, breakpoints=tuple((t, r * 9.0 / 6.0)
+                                                  for t, r in sc.demand.breakpoints))
+    return replace(sc, demand=demand, sim=replace(sc.sim, mu_h=5.0, mu_a=2.0))
+
+
 SCENARIOS = {
     "braess5": braess5_scenario,
     "braess8": braess8_scenario,
-    "braess5_fast_routing": lambda: braess5_scenario(mu_h=5.0, mu_a=2.0, peak_factor=9.0),
+    "braess5_fast_routing": fast_routing_scenario,
 }
 
 

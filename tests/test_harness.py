@@ -75,7 +75,19 @@ class TestSimulate:
         assert code == EXIT_CHECKPOINT
 
     def test_missing_out_exit_2(self, short_scenario):
-        assert main(["simulate", "--scenario", short_scenario]) == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:  # argparse: --out is required
+            main(["simulate", "--scenario", short_scenario])
+        assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", []), ("evaluate", []), ("sweep-mu", ["--mu", "0.1"]),
+        ("sweep-alpha", ["--alpha", "0.5"]),
+    ])
+    def test_unknown_controller_exit_2(self, short_scenario, tmp_path, command, extra):
+        out = tmp_path / "out"
+        assert main([command, "--scenario", short_scenario, "--controller", "foo", *extra,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 
     def test_tenth_second_steps(self, tmp_path):
         # 0.1-s steps and actions: a float clock would reject the action at
@@ -199,10 +211,34 @@ class TestSweeps:
                      "--out", str(tmp_path / "mu")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, code", [
+        (["sweep-mu", "--mu", "0.1,-1", "--seed", "0,1,2,3"], EXIT_USAGE),
+        (["sweep-mu", "--mu", "0.1", "--budget", "128", "--n-steps", "100"], EXIT_USAGE),
+        (["sweep-mu", "--mu", "0.1", "--controller", "policy:{missing}"], EXIT_CHECKPOINT),
+        (["sweep-alpha", "--alpha", "0.5", "--controller", "policy:{missing}"],
+         EXIT_CHECKPOINT),
+    ], ids=["bad-mu", "bad-train-config", "mu-missing-checkpoint",
+            "alpha-missing-checkpoint"])
+    def test_bad_input_fails_before_any_run(self, short_scenario, tmp_path, argv, code,
+                                            monkeypatch):
+        # Every swept value, the training options and the controller are
+        # checked before --out is created or any episode runs.
+        from headwayctl import harness
+
+        def no_run(*args):
+            raise AssertionError("ran before checking every input")
+
+        for name in ("run_episode", "train", "evaluate_policy"):
+            monkeypatch.setattr(harness, name, no_run)
+        argv = [arg.format(missing=tmp_path / "missing.json") for arg in argv]
+        out = tmp_path / "out"
+        assert main([*argv, "--scenario", short_scenario, "--out", str(out)]) == code
+        assert not out.exists()
+
     def test_mu_zero_freezes_route_shares(self):
         from headwayctl.engine import TrafficEnv
 
-        sc = braess5_scenario(mu_h=0.0, mu_a=0.0)
+        sc = braess5_scenario()
         sc = replace(sc, sim=replace(sc.sim, horizon_s=1800.0, mu_h=0.0, mu_a=0.0))
         env = TrafficEnv(sc)
         env.reset(0)
@@ -251,6 +287,7 @@ class TestSweeps:
         code = main(["sweep-alpha", "--scenario", short_scenario,
                      "--out", str(tmp_path / "bad"), "--alpha", "1.5"])
         assert code == EXIT_USAGE
+        assert not (tmp_path / "bad").exists()
 
     def test_headway_control_authority_grows_with_alpha(self):
         # The spread between the two constant baselines is a lower bound on
@@ -258,9 +295,10 @@ class TestSweeps:
         # controllable vehicles.
         from headwayctl import braess5_scenario, make_controller, run_episode
 
+        base = braess5_scenario()
         gaps = []
         for alpha in (0.0, 0.4, 0.8):
-            sc = braess5_scenario(autonomy_fraction=alpha)
+            sc = replace(base, demand=replace(base.demand, autonomy_fraction=alpha))
             ttt = {}
             for name in ("uniform", "min"):
                 ctrl = make_controller(name, sc.network)
@@ -478,16 +516,19 @@ class TestFailFastScenario:
 
     @pytest.mark.parametrize("where, value", [
         ("lanes", 2.7), ("lanes", True), ("id", 0.5), ("id", False),
-        ("seed", 2.5), ("seed", True),
     ])
     def test_non_integral_integer_field(self, tmp_path, where, value):
         # int() would truncate these: 2.7 lanes to 2, id 0.5 to link 0.
         def edit(doc):
-            if where == "seed":
-                doc["sim"]["seed"] = value
-            else:
-                doc["network"]["links"][0][where] = value
+            doc["network"]["links"][0][where] = value
         self.assert_rejected(tmp_path, edit, "must be an integer")
+
+    def test_initial_count_that_jitter_can_push_above_jam(self, tmp_path):
+        # Link 0 holds 4 lanes / 0.5 m * 240 km = 1.92e6 vehicles at jam; the
+        # default 5% jitter can draw up to 1.05 * 0.99 of that.
+        def edit(doc):
+            doc["sim"]["initial_counts"]["0"] = 0.99 * 1.92e6
+        self.assert_rejected(tmp_path, edit, "exceeds jam density")
 
 
 class TestCheckpointValidation:
@@ -580,6 +621,16 @@ class TestHonestReplay:
         assert main([command, "--from-manifest", str(manifest),
                      "--out", str(again)]) == EXIT_USAGE
         assert not again.exists()
+
+    def test_replay_without_out_leaves_the_run_alone(self, short_scenario, tmp_path):
+        first = tmp_path / "first"
+        assert main(["simulate", "--scenario", short_scenario, "--out", str(first)]) == EXIT_OK
+        files = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in first.iterdir()}
+        with pytest.raises(SystemExit) as exc:  # argparse: --out is required
+            main(["simulate", "--from-manifest", str(first / "manifest.json")])
+        assert exc.value.code == EXIT_USAGE
+        assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in first.iterdir()} == files
 
     @pytest.mark.parametrize("command, seeds", [
         ("simulate", []), ("simulate", [-1]), ("train", []), ("train", [-1]),

@@ -12,7 +12,6 @@ from headwayctl.network import (
     Link,
     Network,
     ODPair,
-    ScenarioError,
     build_braess_5,
     build_braess_8,
     demand_at,
@@ -112,7 +111,7 @@ class TestEnumeratePaths:
 
     def test_disconnected_raises(self):
         links = [Link(0, "a", "b", 100.0, 1, 10.0, 0.5)]
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ConfigError, match="no path from b to a"):
             enumerate_paths(links, "b", "a")
 
     def test_paths_are_node_consistent(self):
@@ -182,20 +181,26 @@ class TestDemand:
 
 class TestScenarioIO:
     def test_round_trip(self, tmp_path):
-        sc = braess5_scenario(seed=3)
+        sc = braess5_scenario()
         path = tmp_path / "scenario.json"
         save_scenario(sc, path)
         loaded = load_scenario(path)
         assert scenario_to_dict(loaded) == scenario_to_dict(sc)
+
+    def test_older_sim_seed_key_is_ignored(self, tmp_path):
+        # Every random draw comes from the episode seed; files written while
+        # scenarios still carried a seed load as the same scenario.
+        doc = scenario_to_dict(braess5_scenario())
+        older = json.loads(json.dumps(doc))
+        older["sim"]["seed"] = 7
+        assert scenario_to_dict(scenario_from_dict(older)) == doc
 
     def test_builtin_names(self):
         assert load_scenario("braess5").network.n_links == 5
         assert load_scenario("braess8").network.n_links == 8
 
     def test_missing_file(self, tmp_path):
-        from headwayctl.scenario import ScenarioFileError
-
-        with pytest.raises(ScenarioFileError):
+        with pytest.raises(ConfigError, match="cannot read scenario"):
             load_scenario(tmp_path / "nope.json")
 
     def test_malformed_document(self):

@@ -4,14 +4,17 @@
 and leaving a ``Tracer`` patches and restores them without running anything,
 so a refactor that renames or deletes one of those names fails here, not
 only in a traced benchmark run. ``perfbench/workloads.py`` reads training
-values off ``TrainConfig()``; the last test pins those names.
+values off ``TrainConfig()``; a test pins those names. The last test pins
+every value the program lets a caller set, so that a new knob fails by name.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -53,3 +56,63 @@ def test_train_config_holds_only_the_cli_values():
     config = TrainConfig()
     for name in ("n_steps", "n_envs", "n_epochs", "batch_size", "eval_seeds"):
         assert getattr(config, name) is not None, name
+
+
+# Every parameter and dataclass field in src/headwayctl that has a default.
+SETTABLE_VALUES = [
+    "harness.main.argv",
+    "nn.init_layers.out_scale",
+    "policies.PolicyParams.obs_version",
+    "policies.PolicyParams.new.beta_min_m",
+    "policies.PolicyParams.new.beta_max_m",
+    "ppo.TrainConfig.total_steps",
+    "ppo.TrainConfig.seed",
+    "ppo.TrainConfig.n_steps",
+    "ppo.TrainConfig.n_envs",
+    "ppo.train.config",
+    "scenario.SimConfig.dt_s",
+    "scenario.SimConfig.horizon_s",
+    "scenario.SimConfig.action_period_s",
+    "scenario.SimConfig.initial_counts",
+    "scenario.SimConfig.mu_h",
+    "scenario.SimConfig.mu_a",
+    "scenario.SimConfig.initial_jitter",
+    "scenario.SimConfig.latency_unit_s",
+    "scenario.SimConfig.reward_scale",
+]
+
+
+def settable_values(tree: ast.AST, prefix: str) -> list[str]:
+    """Names of the parameters with a default and the dataclass fields with a
+    default under ``tree``; ``ClassVar`` and ``init=False`` fields are constants
+    or derived, not settable."""
+    names = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            names += [f"{prefix}{node.name}.{a.arg}" for a in defaulted]
+            names += settable_values(node, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                for item in node.body:
+                    if not (isinstance(item, ast.AnnAssign) and item.value is not None):
+                        continue
+                    init_false = isinstance(item.value, ast.Call) and any(
+                        k.arg == "init" and ast.literal_eval(k.value) is False
+                        for k in item.value.keywords)
+                    if "ClassVar" not in ast.unparse(item.annotation) and not init_false:
+                        names.append(f"{prefix}{node.name}.{item.target.id}")
+            names += settable_values(node, f"{prefix}{node.name}.")
+    return names
+
+
+def test_settable_values():
+    """Only the values a caller needs to vary are settable: a new parameter or
+    dataclass field with a default must be added here by name."""
+    found = []
+    for path in sorted((ROOT / "src" / "headwayctl").glob("*.py")):
+        found += settable_values(ast.parse(path.read_text()), f"{path.stem}.")
+    assert found == SETTABLE_VALUES
