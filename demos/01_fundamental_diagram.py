@@ -23,12 +23,12 @@ for alpha in (0.0, 0.2, 0.5, 0.8, 1.0):
     print(f"{alpha:>6.1f} | " + " ".join(f"{c:>10.2f}" for c in caps))
 
 print()
-print("flow vs density at alpha=0.8 (d = 1 km): free up to the critical")
+print("flow vs density at alpha=0.8: free up to the critical")
 print("density, then decaying to zero at the jam density")
 for beta_a in (1.0, 6.0, 10.0):
     nc = critical_density(LANES, 0.8, beta_a, BETA_H)
     rhos = np.linspace(0.0, JAM, 9)
-    flows = sending_flow(rhos * 1000.0, 1000.0, V, nc, JAM)
+    flows = sending_flow(rhos, V, nc, JAM)
     row = " ".join(f"{f:6.1f}" for f in flows)
     print(f"beta_a={beta_a:>4.1f}  n_c={nc:5.2f} veh/m | {row}")
 

@@ -22,11 +22,7 @@ from .network import (
     Link,
     Network,
     ODPair,
-    Path,
-    build_braess_5,
-    build_braess_8,
     demand_at,
-    enumerate_paths,
 )
 from .policies import (
     PolicyParams,

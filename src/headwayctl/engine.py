@@ -107,7 +107,7 @@ class TrafficEnv:
         self._jam_count = self._jam * self._length
         self._jam_tolerance = _NEGATIVE_TOL * np.maximum(self._jam_count, 1.0)
 
-        self._paths = [tuple(p.links) for p in net.od_pairs[0].paths]
+        self._paths = net.paths
         self.n_paths = len(self._paths)
         self._first_link = np.array([links[0] for links in self._paths], dtype=int)
 
@@ -222,7 +222,7 @@ class TrafficEnv:
 
         ncrit = fd.critical_density(self._lanes, alpha, self.beta_a, self._beta_h)
         rho = n_link / self._length
-        flow = fd.sending_flow(n_link, self._length, self._speed, ncrit, self._jam)
+        flow = fd.sending_flow(rho, self._speed, ncrit, self._jam)
         congested = fd.congestion_state(rho, ncrit)
         latency = fd.link_latency(flow, congested, self._length, self._speed, ncrit, self._jam)
         link_lat = latency.tolist()

@@ -43,14 +43,13 @@ def capacity(free_flow_speed_mps, crit_density):
     return free_flow_speed_mps * crit_density
 
 
-def sending_flow(count, length_m, free_flow_speed_mps, crit_density, jam_density):
-    """Flow (veh/s) a link can discharge at its current vehicle count.
+def sending_flow(density, free_flow_speed_mps, crit_density, jam_density):
+    """Flow (veh/s) a link can discharge at its current density (veh/m).
 
     Triangular-style diagram: linear in density up to the critical density,
     then decreasing to zero at jam density. Continuous at the critical point.
     """
-    v, n_c, n_jam = free_flow_speed_mps, crit_density, jam_density
-    rho = count / length_m
+    rho, v, n_c, n_jam = density, free_flow_speed_mps, crit_density, jam_density
     free = v * rho
     congested = v * n_c * (n_jam - rho) / (n_jam - n_c)
     flow = np.where(rho <= n_c, free, np.maximum(congested, 0.0))

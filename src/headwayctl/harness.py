@@ -246,10 +246,10 @@ def cmd_heatmap(options: dict) -> int:
 # argument plumbing
 
 def _int_list(text: str) -> list[int]:
-    """Comma-separated seeds for ``--seed``: at least one, none negative."""
+    """Comma-separated seeds for ``--seed``: at least one, none negative or repeated."""
     seeds = [int(x) for x in text.split(",") if x.strip()]
-    if not seeds or min(seeds) < 0:
-        raise argparse.ArgumentTypeError(f"expected non-negative seeds, got {text!r}")
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"expected distinct non-negative seeds, got {text!r}")
     return seeds
 
 
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mixed-autonomy traffic simulation with dynamic headway control",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name) for name in _DISPATCH}
+    commands = {name: sub.add_parser(name, allow_abbrev=False) for name in _DISPATCH}
 
     def add(names, *flags, **kwargs):
         for name in names.split():
@@ -331,12 +331,24 @@ def _replay_options(parser: argparse.ArgumentParser, command: str, stored: dict,
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     options = vars(parser.parse_args(argv))
     manifest = options.pop("from_manifest")
     try:
         if manifest:
+            # A replay runs the stored options; refuse what it would drop.
+            # Subcommands take no abbreviated flags, so each given flag
+            # appears in argv under its full name.
+            stray = [arg for arg in argv if arg.startswith("--")
+                     and arg.split("=")[0] not in ("--out", "--from-manifest")]
+            if stray:
+                raise ConfigError(f"--from-manifest runs the stored options; "
+                                  f"drop {' '.join(stray)}")
             command, stored, stored_sha256 = _load_manifest(manifest)
+            if command != options["command"]:
+                raise ConfigError(f"manifest records a {command!r} run, "
+                                  f"not {options['command']!r}")
             options = _replay_options(parser, command, stored, options["out"])
             _check_replay_scenario(options, stored_sha256)
         return _DISPATCH[options["command"]](options)

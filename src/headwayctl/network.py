@@ -1,14 +1,15 @@
-"""Road network model: links, the one O/D pair and its paths, demand profiles.
+"""Road network model: links, the one O/D pair, derived paths, demand profiles.
 
 Every object is frozen and checks its values when built: a bad value, or
-an origin that cannot reach its destination, raises ``ConfigError``.
+an origin that cannot reach its destination, raises ``ConfigError``. A
+network derives its paths from its links, so each path is a simple chain of
+its links from the origin to the destination.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -50,24 +51,13 @@ class Link:
 
 
 @dataclass(frozen=True)
-class Path:
-    """Simple directed link sequence from an origin to a destination."""
-
-    id: int
-    links: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ODPair:
     origin: str
     destination: str
-    paths: tuple[Path, ...]
 
     def __post_init__(self):
         if self.origin == self.destination:
             raise ConfigError("origin and destination must differ")
-        if not self.paths:
-            raise ConfigError("an O/D pair needs at least one path")
 
 
 @dataclass(frozen=True)
@@ -116,7 +106,8 @@ class Network:
     """Directed link graph, its one O/D pair and the headway control envelope.
 
     ``beta_h_m`` is the (uncontrolled) human headway; autonomous headways are
-    per-link actions bounded to [beta_min_m, beta_max_m].
+    per-link actions bounded to [beta_min_m, beta_max_m]. ``paths`` holds
+    every simple origin-to-destination path as link ids, in lexicographic order.
     """
 
     links: tuple[Link, ...]
@@ -124,6 +115,7 @@ class Network:
     beta_min_m: float
     beta_max_m: float
     beta_h_m: float
+    paths: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.od_pairs) != 1:
@@ -145,6 +137,7 @@ class Network:
                     f"link {link.id}: jam spacing {link.jam_spacing_m} must be "
                     f"smaller than the minimum headway {self.beta_min_m}"
                 )
+        object.__setattr__(self, "paths", _simple_paths(self.links, self.od_pairs[0]))
 
     @property
     def n_links(self) -> int:
@@ -163,22 +156,17 @@ class Network:
         return np.array([l.jam_density for l in self.links], dtype=float)
 
 
-def enumerate_paths(links: Sequence[Link], origin: str, destination: str) -> list[Path]:
-    """All simple directed paths from origin to destination.
-
-    Deterministic order: lexicographic by link-id sequence. Raises
-    ConfigError when no path exists.
-    """
+def _simple_paths(links: tuple[Link, ...], od: ODPair) -> tuple[tuple[int, ...], ...]:
+    """Every simple directed path from ``od.origin`` to ``od.destination``, as
+    link ids in lexicographic order; ConfigError when there is none."""
     out_links: dict[str, list[Link]] = {}
     for link in links:
         out_links.setdefault(link.from_node, []).append(link)
-    for lst in out_links.values():
-        lst.sort(key=lambda l: l.id)
 
     found: list[tuple[int, ...]] = []
 
     def walk(node: str, visited: set[str], trail: list[int]):
-        if node == destination:
+        if node == od.destination:
             found.append(tuple(trail))
             return
         for link in out_links.get(node, []):
@@ -190,53 +178,7 @@ def enumerate_paths(links: Sequence[Link], origin: str, destination: str) -> lis
             trail.pop()
             visited.remove(link.to_node)
 
-    walk(origin, {origin}, [])
+    walk(od.origin, {od.origin}, [])
     if not found:
-        raise ConfigError(f"no path from {origin} to {destination}")
-    found.sort()
-    return [Path(id=i, links=seq) for i, seq in enumerate(found)]
-
-
-_BRAESS5_EDGES = [
-    # (from, to, length_m, lanes) -- diamond O-A-B-D with the short wide
-    # shortcut A->B in the middle.
-    ("O", "A", 240_000.0, 4),
-    ("A", "D", 240_000.0, 2),
-    ("O", "B", 240_000.0, 2),
-    ("B", "D", 240_000.0, 4),
-    ("A", "B", 60_000.0, 8),
-]
-
-# Second diamond nested after the first: A->C mirrors O->B, C->D mirrors
-# A->D, and C->B is its own short wide shortcut. Links 3 and 4 are shared
-# between the two diamonds, which keeps the total at eight links.
-_BRAESS8_EXTRA_EDGES = [
-    ("A", "C", 2),  # copies link 2's geometry
-    ("C", "D", 1),  # copies link 1's geometry
-    ("C", "B", 4),  # copies link 4's geometry
-]
-
-
-def _build_network(edges) -> Network:
-    """Links from (from, to, length_m, lanes) edges at 30 m/s and 0.5 m jam
-    spacing, one O->D pair, and headways 6 m (human) within [1, 10] m."""
-    links = [Link(id=i, from_node=frm, to_node=to, length_m=length, lanes=lanes,
-                  free_flow_speed_mps=30.0, jam_spacing_m=0.5)
-             for i, (frm, to, length, lanes) in enumerate(edges)]
-    od = ODPair(origin="O", destination="D", paths=tuple(enumerate_paths(links, "O", "D")))
-    return Network(links=tuple(links), od_pairs=(od,),
-                   beta_min_m=1.0, beta_max_m=10.0, beta_h_m=6.0)
-
-
-def build_braess_5() -> Network:
-    """Classic 4-node, 5-link Braess diamond with one O->D pair (3 paths)."""
-    return _build_network(_BRAESS5_EDGES)
-
-
-def build_braess_8() -> Network:
-    """Eight-link network with a second Braess diamond nested after the first."""
-    edges = list(_BRAESS5_EDGES)
-    for frm, to, copy_of in _BRAESS8_EXTRA_EDGES:
-        _, _, length, lanes = _BRAESS5_EDGES[copy_of]
-        edges.append((frm, to, length, lanes))
-    return _build_network(edges)
+        raise ConfigError(f"no path from {od.origin} to {od.destination}")
+    return tuple(sorted(found))

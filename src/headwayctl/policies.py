@@ -59,8 +59,8 @@ class PolicyParams:
     obs_version: int = OBS_SPEC_VERSION
 
     @classmethod
-    def new(cls, obs_dim: int, n_links: int, rng, beta_min_m: float = 1.0,
-            beta_max_m: float = 10.0) -> "PolicyParams":
+    def new(cls, obs_dim: int, n_links: int, rng, beta_min_m: float,
+            beta_max_m: float) -> "PolicyParams":
         return cls(
             layers=init_layers([obs_dim, *HIDDEN, n_links], rng),
             log_std=np.full(n_links, LOG_STD_INIT),

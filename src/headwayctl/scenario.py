@@ -1,4 +1,5 @@
-"""Scenario = network + demand + simulation config, with JSON round-tripping.
+"""Scenario = network + demand + simulation config, with JSON round-tripping;
+the built-in Braess scenarios braess5 and braess8.
 
 The on-disk format has five sections: ``network`` (links array), ``od``
 (single origin/destination plus autonomy split), ``demand`` (piecewise-linear
@@ -17,16 +18,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
-from .network import (
-    ConfigError,
-    DemandProfile,
-    Link,
-    Network,
-    ODPair,
-    build_braess_5,
-    build_braess_8,
-    enumerate_paths,
-)
+from .network import ConfigError, DemandProfile, Link, Network, ODPair
 
 # Share of the built-in scenarios' demand that is autonomous.
 AUTONOMY_FRACTION = 0.8
@@ -47,6 +39,25 @@ INITIAL_FILL = 0.30
 # Demand pulse (s): ramp up to the peak, hold it, ramp down to zero, and
 # stay at zero to the end of the 200-minute horizon.
 RAMP_UP_S, HOLD_UNTIL_S, RAMP_DOWN_UNTIL_S, DEMAND_END_S = 2_400.0, 4_800.0, 7_200.0, 12_000.0
+
+# The built-in networks as (from, to, length_m, lanes) edges, each a link at
+# 30 m/s with 0.5 m jam spacing. braess5 is the diamond O-A-B-D with the
+# short wide shortcut A->B in the middle.
+_BRAESS5_EDGES = (
+    ("O", "A", 240_000.0, 4),
+    ("A", "D", 240_000.0, 2),
+    ("O", "B", 240_000.0, 2),
+    ("B", "D", 240_000.0, 4),
+    ("A", "B", 60_000.0, 8),
+)
+# braess8 nests a second diamond after the first: A->C has link 2's
+# geometry, C->D link 1's, and C->B is its own short wide shortcut, as link
+# 4. Links 3 and 4 are shared between the two diamonds.
+_BRAESS8_EDGES = _BRAESS5_EDGES + (
+    ("A", "C", 240_000.0, 2),
+    ("C", "D", 240_000.0, 2),
+    ("C", "B", 60_000.0, 8),
+)
 
 # Longest episode a scenario may ask for, in sim steps (the built-in
 # scenarios take 200). Anything longer is almost surely a typo in dt_s or
@@ -104,7 +115,7 @@ class Scenario:
     sim: SimConfig
 
     def __post_init__(self):
-        on_path = {l for p in self.network.od_pairs[0].paths for l in p.links}
+        on_path = {l for path in self.network.paths for l in path}
         for link_id, count in self.sim.initial_counts.items():
             if not 0 <= link_id < self.network.n_links:
                 raise ConfigError(f"initial count for unknown link {link_id}")
@@ -120,9 +131,16 @@ class Scenario:
                                   f"{self.sim.initial_jitter}, exceeds jam density")
 
 
-def _braess_scenario(network: Network) -> Scenario:
-    """Peak-hour demand (ramp to the peak, hold, ramp to zero, cool down) and
-    the two entry links loaded so the top of the network starts crowded."""
+def _braess_scenario(edges) -> Scenario:
+    """The network of ``edges`` from O to D, with headways 6 m (human) within
+    [1, 10] m, peak-hour demand (ramp to the peak, hold, ramp to zero, cool
+    down) and the two entry links loaded so the top of the network starts
+    crowded."""
+    links = tuple(Link(id=i, from_node=frm, to_node=to, length_m=length, lanes=lanes,
+                       free_flow_speed_mps=30.0, jam_spacing_m=0.5)
+                  for i, (frm, to, length, lanes) in enumerate(edges))
+    network = Network(links=links, od_pairs=(ODPair("O", "D"),),
+                      beta_min_m=1.0, beta_max_m=10.0, beta_h_m=6.0)
     link0 = network.links[0]
     peak = PEAK_FACTOR * (link0.free_flow_speed_mps * link0.lanes / network.beta_h_m)
     demand = DemandProfile(
@@ -139,11 +157,13 @@ def _braess_scenario(network: Network) -> Scenario:
 
 
 def braess5_scenario() -> Scenario:
-    return _braess_scenario(build_braess_5())
+    """The 4-node, 5-link Braess diamond (3 paths)."""
+    return _braess_scenario(_BRAESS5_EDGES)
 
 
 def braess8_scenario() -> Scenario:
-    return _braess_scenario(build_braess_8())
+    """Eight links: a second Braess diamond nested after the first (5 paths)."""
+    return _braess_scenario(_BRAESS8_EDGES)
 
 
 BUILTIN_SCENARIOS = {
@@ -236,12 +256,9 @@ def _scenario_from_dict(data: dict) -> Scenario:
         breakpoints=tuple((float(t), float(r)) for t, r in data["demand"]["breakpoints"]),
         autonomy_fraction=float(od_section["autonomy_fraction"]),
     )
-    paths = enumerate_paths(links, str(od_section["origin"]), str(od_section["destination"]))
-    od = ODPair(origin=str(od_section["origin"]), destination=str(od_section["destination"]),
-                paths=tuple(paths))
     network = Network(
         links=links,
-        od_pairs=(od,),
+        od_pairs=(ODPair(str(od_section["origin"]), str(od_section["destination"])),),
         beta_min_m=float(control["beta_min_m"]),
         beta_max_m=float(control["beta_max_m"]),
         beta_h_m=float(control["beta_h_m"]),

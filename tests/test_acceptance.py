@@ -59,10 +59,10 @@ def test_criterion_1_core_formula_suite():
     ok &= rel_close(capacity(30.0, critical_density(4, 0.3, 6.0, 6.0)), 20.0)
     # flow branches (v=30, n_c=0.5, jam=2, d=1000)
     args = (1000.0, 30.0, 0.5, 2.0)
-    ok &= rel_close(sending_flow(200.0, *args), 6.0)
-    ok &= rel_close(sending_flow(500.0, *args), 15.0)
-    ok &= rel_close(sending_flow(1250.0, *args), 7.5)
-    ok &= sending_flow(2000.0, *args) == 0.0
+    ok &= rel_close(sending_flow(0.2, *args[1:]), 6.0)
+    ok &= rel_close(sending_flow(0.5, *args[1:]), 15.0)
+    ok &= rel_close(sending_flow(1.25, *args[1:]), 7.5)
+    ok &= sending_flow(2.0, *args[1:]) == 0.0
     # congestion flag
     ok &= congestion_state(0.0, 0.5) == 0
     ok &= congestion_state(0.5, 0.5) == 0
@@ -105,8 +105,8 @@ def test_criterion_2_continuity_properties():
         n_c = critical_density(lanes, alpha, beta_a, beta_h)
         jam = lanes / 0.5
         eps = 1e-12 * n_c
-        lo = sending_flow((n_c - eps) * d, d, v, n_c, jam)
-        hi = sending_flow((n_c + eps) * d, d, v, n_c, jam)
+        lo = sending_flow(n_c - eps, v, n_c, jam)
+        hi = sending_flow(n_c + eps, v, n_c, jam)
         worst_flow = max(worst_flow, abs(lo - hi) / max(abs(lo), abs(hi)))
         lat = link_latency(v * n_c, 1, d, v, n_c, jam)
         worst_lat = max(worst_lat, abs(lat - d / v) / (d / v))
@@ -240,7 +240,7 @@ def test_criterion_8_alpha_zero_neutrality(tmp_path):
     sc = replace(sc, demand=replace(sc.demand, autonomy_fraction=0.0))
     env = TrafficEnv(sc)
     rng = np.random.default_rng(0)
-    params = h.PolicyParams.new(env.obs_dim, 5, rng)
+    params = h.PolicyParams.new(env.obs_dim, 5, rng, beta_min_m=1.0, beta_max_m=10.0)
     results = {}
     for name, ctrl in (
         ("uniform", h.make_controller("uniform", sc.network)),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from headwayctl.engine import InvariantViolation, TrafficEnv, run_episode
-from headwayctl.network import ConfigError, DemandProfile, Link, Network, ODPair, Path
+from headwayctl.network import ConfigError, DemandProfile, Link, Network, ODPair
 from headwayctl.policies import min_headway_policy, uniform_headway_policy
 from headwayctl.scenario import Scenario, SimConfig, braess5_scenario
 
@@ -16,7 +16,7 @@ def single_link_scenario(length_m=10_000.0, v=10.0, initial=100.0, horizon_s=6_0
     link = Link(0, "a", "b", length_m, 1, v, jam_spacing)
     net = Network(
         links=(link,),
-        od_pairs=(ODPair("a", "b", (Path(0, (0,)),)),),
+        od_pairs=(ODPair("a", "b"),),
         beta_min_m=1.0,
         beta_max_m=10.0,
         beta_h_m=6.0,

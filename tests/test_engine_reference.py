@@ -29,7 +29,7 @@ def loop_step(env):
     dt = sim.dt_s
     length, jam = net.length_array(), net.jam_density_array()
     jam_count = jam * length
-    paths = [p.links for p in net.od_pairs[0].paths]
+    paths = net.paths
     next_link = np.full((net.n_links, len(paths)), NOT_ON_PATH)
     for gp, links in enumerate(paths):
         for i, l in enumerate(links):
@@ -41,7 +41,7 @@ def loop_step(env):
         alpha = np.where(n_link > 0.0, n_auto / np.where(n_link > 0.0, n_link, 1.0), 0.0)
     ncrit = fd.critical_density(net.lanes_array(), alpha, env.beta_a, net.beta_h_m)
     rho = n_link / length
-    flow = fd.sending_flow(n_link, length, net.speed_array(), ncrit, jam)
+    flow = fd.sending_flow(rho, net.speed_array(), ncrit, jam)
     congested = fd.congestion_state(rho, ncrit)
     latency = fd.link_latency(flow, congested, length, net.speed_array(), ncrit, jam)
     path_lat = np.array([fd.path_latency(p, latency) for p in paths])

@@ -46,26 +46,26 @@ def test_capacity_alpha_independent_when_headways_equal():
 
 
 class TestSendingFlow:
-    # v=30, n_c=0.5, jam=2.0, d=1000
-    ARGS = dict(length_m=1000.0, free_flow_speed_mps=30.0, crit_density=0.5, jam_density=2.0)
+    # v=30, n_c=0.5, jam=2.0
+    ARGS = dict(free_flow_speed_mps=30.0, crit_density=0.5, jam_density=2.0)
 
     def test_free_branch(self):
-        assert sending_flow(200.0, **self.ARGS) == pytest.approx(6.0, rel=REL)
+        assert sending_flow(0.2, **self.ARGS) == pytest.approx(6.0, rel=REL)
 
     def test_continuity_at_critical(self):
-        assert sending_flow(500.0, **self.ARGS) == pytest.approx(15.0, rel=REL)
+        assert sending_flow(0.5, **self.ARGS) == pytest.approx(15.0, rel=REL)
 
     def test_congested_branch(self):
         # 15 * (2 - 1.25) / (2 - 0.5)
-        assert sending_flow(1250.0, **self.ARGS) == pytest.approx(7.5, rel=REL)
+        assert sending_flow(1.25, **self.ARGS) == pytest.approx(7.5, rel=REL)
 
     def test_zero_at_jam(self):
-        assert sending_flow(2000.0, **self.ARGS) == pytest.approx(0.0, abs=1e-12)
+        assert sending_flow(2.0, **self.ARGS) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_sided_continuity(self):
         eps = 1e-12 * 0.5
-        lo = sending_flow((0.5 - eps) * 1000.0, **self.ARGS)
-        hi = sending_flow((0.5 + eps) * 1000.0, **self.ARGS)
+        lo = sending_flow(0.5 - eps, **self.ARGS)
+        hi = sending_flow(0.5 + eps, **self.ARGS)
         assert abs(lo - hi) <= REL * max(abs(lo), abs(hi))
 
 
@@ -119,8 +119,8 @@ def test_flow_continuity_randomized():
     for _ in range(1000):
         _, v, d, n_c, jam = _random_diagram(rng)
         eps = 1e-12 * n_c
-        lo = sending_flow((n_c - eps) * d, d, v, n_c, jam)
-        hi = sending_flow((n_c + eps) * d, d, v, n_c, jam)
+        lo = sending_flow(n_c - eps, v, n_c, jam)
+        hi = sending_flow(n_c + eps, v, n_c, jam)
         assert abs(lo - hi) <= 1e-9 * max(abs(lo), abs(hi))
 
 
@@ -148,7 +148,7 @@ def test_congested_flow_monotone_in_density():
     for _ in range(200):
         _, v, d, n_c, jam = _random_diagram(rng)
         rhos = np.sort(rng.uniform(n_c, jam, size=6))
-        flows = sending_flow(rhos * d, d, v, n_c, jam)
+        flows = sending_flow(rhos, v, n_c, jam)
         assert np.all(np.diff(flows) <= 0.0)
 
 
@@ -173,7 +173,7 @@ def test_critical_density_interpolates_between_extremes(lanes, alpha, beta_a, be
 def test_latency_never_below_free_flow(ratio, congested):
     v, d, n_c, jam = 30.0, 240_000.0, 2.0 / 3.0, 8.0
     rho = ratio * jam
-    flow = sending_flow(rho * d, d, v, n_c, jam)
+    flow = sending_flow(rho, v, n_c, jam)
     s = congestion_state(rho, n_c)
     lat = link_latency(flow, s, d, v, n_c, jam)
     assert lat >= d / v - 1e-9 * (d / v)

@@ -164,6 +164,32 @@ class TestManifestReplay:
         assert doc["options"]["scenario"] == short_scenario
         assert len(doc["scenario_sha256"]) == 64
 
+    @pytest.mark.parametrize("extra", [
+        ["--seed", "3"], ["--controller", "min"], ["--seed", "0"], ["--seed=0"],
+        ["--scenario", "braess5"],
+    ], ids=["seed", "controller", "default-seed", "default-seed-equals", "scenario"])
+    def test_flag_next_to_from_manifest_exit_2(self, short_scenario, tmp_path, extra):
+        # A replay runs the stored options, so any other flag would be
+        # dropped; it is refused, even at its default value.
+        first = tmp_path / "first"
+        assert main(["simulate", "--scenario", short_scenario, "--out", str(first)]) == EXIT_OK
+        again = tmp_path / "again"
+        assert main(["simulate", "--from-manifest", str(first / "manifest.json"), *extra,
+                     "--out", str(again)]) == EXIT_USAGE
+        assert not again.exists()
+
+    @pytest.mark.parametrize("recorded, replayed", [
+        (["simulate"], "evaluate"), (["evaluate"], "simulate"),
+        (["train", "--budget", "0"], "evaluate"),
+    ])
+    def test_other_subcommand_exit_2(self, short_scenario, tmp_path, recorded, replayed):
+        first = tmp_path / "first"
+        assert main([*recorded, "--scenario", short_scenario, "--out", str(first)]) == EXIT_OK
+        again = tmp_path / "again"
+        assert main([replayed, "--from-manifest", str(first / "manifest.json"),
+                     "--out", str(again)]) == EXIT_USAGE
+        assert not again.exists()
+
 
 class TestTrain:
     def test_zero_budget_warns_and_writes_checkpoint(self, short_scenario, tmp_path, capsys):
@@ -360,6 +386,7 @@ class TestBadNumbers:
         ["train", "--n-steps", "0"],
         ["train", "--n-steps", "100", "--budget", "100"],
         ["train", "--budget", "-5"],
+        ["evaluate", "--seed", "0,0"],
     ])
     def test_exit_2(self, argv, tmp_path):
         out = tmp_path / "out"
@@ -536,7 +563,7 @@ class TestCheckpointValidation:
 
     def checkpoint(self, tmp_path, edit):
         path = tmp_path / "ckpt.json"
-        params = PolicyParams.new(12, 5, np.random.default_rng(0))
+        params = PolicyParams.new(12, 5, np.random.default_rng(0), 1.0, 10.0)
         save_checkpoint(params, path)
         doc = json.loads(path.read_text())
         edit(doc)
@@ -576,7 +603,7 @@ class TestCheckpointValidation:
 
     def test_obs_dim_against_network(self, short_scenario, tmp_path):
         path = tmp_path / "wide.json"
-        save_checkpoint(PolicyParams.new(14, 5, np.random.default_rng(0)), path)
+        save_checkpoint(PolicyParams.new(14, 5, np.random.default_rng(0), 1.0, 10.0), path)
         load_checkpoint(path)  # well formed on its own
         with pytest.raises(CheckpointError, match="14 observations"):
             make_controller(f"policy:{path}", braess5_scenario().network)
@@ -634,6 +661,7 @@ class TestHonestReplay:
 
     @pytest.mark.parametrize("command, seeds", [
         ("simulate", []), ("simulate", [-1]), ("train", []), ("train", [-1]),
+        ("simulate", [0, 0]),
     ])
     def test_bad_replayed_seeds_exit_2(self, tmp_path, command, seeds):
         # The checks --seed makes on the command line hold for a hand-edited

@@ -1,24 +1,17 @@
-"""Network construction, path enumeration, demand profiles, scenario IO."""
+"""Network construction, derived paths, demand profiles, scenario IO."""
 
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from headwayctl.network import (
-    ConfigError,
-    DemandProfile,
-    Link,
-    Network,
-    ODPair,
-    build_braess_5,
-    build_braess_8,
-    demand_at,
-    enumerate_paths,
-)
+from headwayctl.network import ConfigError, DemandProfile, Link, Network, ODPair, demand_at
 from headwayctl.scenario import (
     braess5_scenario,
+    braess8_scenario,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -45,9 +38,19 @@ def brute_force_paths(links, origin, destination):
     return sorted(results)
 
 
+def edge_links(edges):
+    """Links of (from, to) edges, link i being edge i."""
+    return tuple(Link(i, frm, to, 100.0, 1, 10.0, 0.5) for i, (frm, to) in enumerate(edges))
+
+
+def network(edges, origin, destination):
+    return Network(links=edge_links(edges), od_pairs=(ODPair(origin, destination),),
+                   beta_min_m=1.0, beta_max_m=10.0, beta_h_m=6.0)
+
+
 class TestBraess5:
     def test_geometry(self):
-        net = build_braess_5()
+        net = braess5_scenario().network
         assert net.n_links == 5
         assert net.links[4].length_m == 60_000.0
         for i in range(4):
@@ -55,27 +58,24 @@ class TestBraess5:
         assert all(l.free_flow_speed_mps == 30.0 for l in net.links)
 
     def test_three_paths_match_brute_force(self):
-        net = build_braess_5()
-        od = net.od_pairs[0]
-        got = sorted(p.links for p in od.paths)
-        assert got == brute_force_paths(net.links, "O", "D")
-        assert len(od.paths) == 3
-        assert {p.links for p in od.paths} == {(0, 1), (2, 3), (0, 4, 3)}
+        net = braess5_scenario().network
+        assert list(net.paths) == brute_force_paths(net.links, "O", "D")
+        assert net.paths == ((0, 1), (0, 4, 3), (2, 3))
 
     def test_lane_ratios(self):
-        net = build_braess_5()
+        net = braess5_scenario().network
         assert net.links[0].lanes == 2 * net.links[1].lanes
         assert net.links[3].lanes == 2 * net.links[2].lanes
         assert net.links[4].lanes == max(l.lanes for l in net.links)
 
     def test_defaults(self):
-        net = build_braess_5()
+        net = braess5_scenario().network
         assert net.beta_h_m == 6.0
         assert (net.beta_min_m, net.beta_max_m) == (1.0, 10.0)
         assert all(l.jam_spacing_m == 0.5 for l in net.links)
 
     def test_invalid_override_rejected(self):
-        net = build_braess_5()
+        net = braess5_scenario().network
         wide = tuple(replace(l, jam_spacing_m=1.5) for l in net.links)
         with pytest.raises(ConfigError, match="jam spacing"):
             replace(net, links=wide)  # >= beta_min
@@ -85,48 +85,75 @@ class TestBraess5:
 
 class TestBraess8:
     def test_link_count(self):
-        assert build_braess_8().n_links == 8
+        assert braess8_scenario().network.n_links == 8
 
     def test_copied_attributes(self):
-        net = build_braess_8()
+        net = braess8_scenario().network
         for new, old in ((5, 2), (6, 1), (7, 4)):
             assert net.links[new].length_m == net.links[old].length_m
             assert net.links[new].lanes == net.links[old].lanes
             assert net.links[new].free_flow_speed_mps == net.links[old].free_flow_speed_mps
 
     def test_paths_exist_and_match_brute_force(self):
-        net = build_braess_8()
-        od = net.od_pairs[0]
-        assert len(od.paths) >= 3
-        got = sorted(p.links for p in od.paths)
-        assert got == brute_force_paths(net.links, "O", "D")
+        net = braess8_scenario().network
+        assert len(net.paths) == 5
+        assert list(net.paths) == brute_force_paths(net.links, "O", "D")
 
 
 class TestEnumeratePaths:
+    """A network derives its paths from its links and its O/D pair."""
+
     def test_single_edge(self):
-        links = [Link(0, "a", "b", 100.0, 1, 10.0, 0.5)]
-        paths = enumerate_paths(links, "a", "b")
-        assert len(paths) == 1
-        assert paths[0].links == (0,)
+        assert network([("a", "b")], "a", "b").paths == ((0,),)
 
     def test_disconnected_raises(self):
-        links = [Link(0, "a", "b", 100.0, 1, 10.0, 0.5)]
         with pytest.raises(ConfigError, match="no path from b to a"):
-            enumerate_paths(links, "b", "a")
+            network([("a", "b")], "b", "a")
+
+    def test_hand_built_network_matches_brute_force(self):
+        # A cycle (links 1, 2), parallel links (3, 4), a dead end (5), a link
+        # back into the origin (6) and a link out of the destination (7).
+        edges = [("o", "x"), ("x", "y"), ("y", "x"), ("y", "d"), ("y", "d"),
+                 ("x", "z"), ("y", "o"), ("d", "x")]
+        net = network(edges, "o", "d")
+        assert net.paths == ((0, 1, 3), (0, 1, 4))
+        assert list(net.paths) == brute_force_paths(net.links, "o", "d")
+
+    @given(st.lists(st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde"))
+                    .filter(lambda e: e[0] != e[1]), max_size=9))
+    @settings(max_examples=60, derandomize=True)
+    def test_random_graphs_match_brute_force(self, edges):
+        want = brute_force_paths(edge_links(edges), "a", "b")
+        if want:
+            assert list(network(edges, "a", "b").paths) == want
+        else:
+            with pytest.raises(ConfigError, match="no path from a to b"):
+                network(edges, "a", "b")
+
+    def test_paths_are_derived_not_given(self):
+        # No constructor takes a path list, so a path that runs backwards,
+        # stops short of the destination or names an unknown link cannot be
+        # built; replacing the O/D pair derives its own paths.
+        net = braess5_scenario().network
+        with pytest.raises(TypeError):
+            Network(links=net.links, od_pairs=net.od_pairs, beta_min_m=1.0, beta_max_m=10.0,
+                    beta_h_m=6.0, paths=((1, 0), (2,)))
+        with pytest.raises(TypeError):
+            ODPair("O", "D", ((9,),))
+        assert replace(net, od_pairs=(ODPair("O", "B"),)).paths == ((0, 4), (2,))
 
     def test_paths_are_node_consistent(self):
-        net = build_braess_8()
+        net = braess8_scenario().network
         by_id = {l.id: l for l in net.links}
-        for p in net.od_pairs[0].paths:
-            for a, b in zip(p.links, p.links[1:]):
+        for path in net.paths:
+            for a, b in zip(path, path[1:]):
                 assert by_id[a].to_node == by_id[b].from_node
-            nodes = [by_id[p.links[0]].from_node] + [by_id[l].to_node for l in p.links]
+            nodes = [by_id[path[0]].from_node] + [by_id[l].to_node for l in path]
             assert len(set(nodes)) == len(nodes)  # simple path
 
     def test_deterministic_lexicographic_order(self):
-        net = build_braess_5()
-        seqs = [p.links for p in net.od_pairs[0].paths]
-        assert seqs == sorted(seqs)
+        net = braess5_scenario().network
+        assert list(net.paths) == sorted(net.paths)
 
 
 class TestDemand:
@@ -221,19 +248,17 @@ class TestScenarioIO:
     def test_network_holds_exactly_one_od_pair(self, n_pairs):
         # The engine, the scenario format and the builders all hold one
         # O/D pair, so a network with any other number is refused when built.
-        net = build_braess_8()
-        od = net.od_pairs[0]
-        od2 = ODPair(origin="A", destination="D",
-                     paths=tuple(enumerate_paths(net.links, "A", "D")))
+        net = braess8_scenario().network
+        pairs = (net.od_pairs[0], ODPair(origin="A", destination="D"))
         with pytest.raises(ConfigError, match="one O/D pair"):
-            Network(links=net.links, od_pairs=(od, od2)[:n_pairs], beta_min_m=net.beta_min_m,
+            Network(links=net.links, od_pairs=pairs[:n_pairs], beta_min_m=net.beta_min_m,
                     beta_max_m=net.beta_max_m, beta_h_m=net.beta_h_m)
 
 
 def test_critical_below_jam_for_all_actions():
     from headwayctl.fundamental import critical_density
 
-    net = build_braess_5()
+    net = braess5_scenario().network
     rng = np.random.default_rng(0)
     for _ in range(200):
         beta_a = rng.uniform(net.beta_min_m, net.beta_max_m)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from headwayctl.network import build_braess_5
 from headwayctl.nn import mlp_forward
 from headwayctl.policies import (
     CheckpointError,
@@ -16,15 +15,16 @@ from headwayctl.policies import (
     squash_to_bounds,
     uniform_headway_policy,
 )
+from headwayctl.scenario import braess5_scenario
 
 
 @pytest.fixture
 def net():
-    return build_braess_5()
+    return braess5_scenario().network
 
 
 def zeroed_params(obs_dim=12, n_links=5):
-    params = PolicyParams.new(obs_dim, n_links, np.random.default_rng(0))
+    params = PolicyParams.new(obs_dim, n_links, np.random.default_rng(0), 1.0, 10.0)
     params.layers = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params.layers]
     return params
 
@@ -57,7 +57,7 @@ class TestPolicyAct:
         # Training squashes pre-squash samples mean + exp(log_std) * noise
         # (ppo.train); wide noise reaches both tails of the sigmoid.
         rng = np.random.default_rng(3)
-        params = PolicyParams.new(12, 5, rng)
+        params = PolicyParams.new(12, 5, rng, 1.0, 10.0)
         params.log_std[:] = 2.0
         obs = rng.uniform(size=(100, 12))
         mean, _ = mlp_forward(params.layers, obs)
@@ -74,7 +74,7 @@ class TestPolicyAct:
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
-        params = PolicyParams.new(12, 5, np.random.default_rng(5))
+        params = PolicyParams.new(12, 5, np.random.default_rng(5), 1.0, 10.0)
         path = tmp_path / "ckpt.json"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
@@ -95,7 +95,7 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_controller_from_checkpoint(self, tmp_path, net):
-        params = PolicyParams.new(12, 5, np.random.default_rng(6))
+        params = PolicyParams.new(12, 5, np.random.default_rng(6), 1.0, 10.0)
         path = tmp_path / "ckpt.json"
         save_checkpoint(params, path)
         ctrl = make_controller(f"policy:{path}", net)
@@ -104,7 +104,7 @@ class TestCheckpoints:
         assert np.all((beta >= 1.0) & (beta <= 10.0))
 
     def test_controller_link_count_mismatch(self, tmp_path, net):
-        params = PolicyParams.new(12, 3, np.random.default_rng(7))
+        params = PolicyParams.new(12, 3, np.random.default_rng(7), 1.0, 10.0)
         path = tmp_path / "ckpt.json"
         save_checkpoint(params, path)
         with pytest.raises(CheckpointError):

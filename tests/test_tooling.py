@@ -4,24 +4,36 @@
 and leaving a ``Tracer`` patches and restores them without running anything,
 so a refactor that renames or deletes one of those names fails here, not
 only in a traced benchmark run. ``perfbench/workloads.py`` reads training
-values off ``TrainConfig()``; a test pins those names. The last test pins
-every value the program lets a caller set, so that a new knob fails by name.
+values off ``TrainConfig()`` and network and env values in its exact-count
+checks; tests evaluate those checks against an empty report. The last test
+pins every value the program lets a caller set, so that a new knob fails by
+name.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
+from numbers import Integral
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+
+def load_module(path: Path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module(TRACER)
 
 
 def owner_and_attr(site):
@@ -58,13 +70,38 @@ def test_train_config_holds_only_the_cli_values():
         assert getattr(config, name) is not None, name
 
 
+class EmptyReport:
+    """The report of a traced run that recorded no spans."""
+
+    def calls(self, prefix):
+        return 0
+
+    def calls_under(self, prefix, parent_prefix):
+        return 0
+
+    def calls_per_episode(self, prefix):
+        return np.zeros(0, dtype=int)
+
+
+def test_workload_count_checks_find_every_name(tmp_path):
+    """Each workload sets up and states its exact counts for one call: every
+    env, network and config name those checks read still exists."""
+    workloads = load_module(WORKLOADS)
+    for name in workloads.WORKLOADS:
+        workload = workloads.make(name, 0, tmp_path / name)
+        workload.setup()
+        counts = workload.expected_counts(EmptyReport(), [workload.op(0)])
+        assert counts, name
+        for metric, measured, expected in counts:
+            assert measured == 0, (name, metric)
+            assert isinstance(expected, Integral) and expected >= 0, (name, metric, expected)
+
+
 # Every parameter and dataclass field in src/headwayctl that has a default.
 SETTABLE_VALUES = [
     "harness.main.argv",
     "nn.init_layers.out_scale",
     "policies.PolicyParams.obs_version",
-    "policies.PolicyParams.new.beta_min_m",
-    "policies.PolicyParams.new.beta_max_m",
     "ppo.TrainConfig.total_steps",
     "ppo.TrainConfig.seed",
     "ppo.TrainConfig.n_steps",
