@@ -31,7 +31,7 @@ for name in ("uniform", "min"):
     congested = np.mean([t.congested.mean() for t in traces])
     print(f"{name:>10} | {ttt:>20.4e} | {congested:>8.1%}")
 
-    grid = (traces[0].density / net.jam_density_array()).T  # links x steps
+    grid = (traces[0].density / net.jam_density).T  # links x steps
     svg_path = out_dir / f"heatmap_{name}.svg"
     write_heatmap(grid, scenario.sim.dt_s, svg_path)
     print(f"{'':>10}   heat map -> {svg_path}")

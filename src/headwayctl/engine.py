@@ -100,11 +100,7 @@ class TrafficEnv:
         self.sim = scenario.sim
         self.n_links = net.n_links
 
-        self._lanes = net.lanes_array()
-        self._length = net.length_array()
-        self._speed = net.speed_array()
-        self._jam = net.jam_density_array()
-        self._jam_count = self._jam * self._length
+        self._jam_count = net.jam_density * net.length_m
         self._jam_tolerance = _NEGATIVE_TOL * np.maximum(self._jam_count, 1.0)
 
         self._paths = net.paths
@@ -220,11 +216,13 @@ class TrafficEnv:
         n_link = counts.sum(axis=(1, 2))
         alpha = _ratio(counts[:, :, AUTO].sum(axis=1), n_link)
 
-        ncrit = fd.critical_density(self._lanes, alpha, self.beta_a, self._beta_h)
-        rho = n_link / self._length
-        flow = fd.sending_flow(rho, self._speed, ncrit, self._jam)
+        net = self.net
+        ncrit = fd.critical_density(net.lanes, alpha, self.beta_a, self._beta_h)
+        rho = n_link / net.length_m
+        flow = fd.sending_flow(rho, net.speed_mps, ncrit, net.jam_density)
         congested = fd.congestion_state(rho, ncrit)
-        latency = fd.link_latency(flow, congested, self._length, self._speed, ncrit, self._jam)
+        latency = fd.link_latency(flow, congested, net.length_m, net.speed_mps, ncrit,
+                                  net.jam_density)
         link_lat = latency.tolist()
         path_lat = np.array([fd.path_latency(p, link_lat) for p in self._paths])
 

@@ -235,7 +235,7 @@ def cmd_heatmap(options: dict) -> int:
                           f"{n_links} links")
     times, column = np.unique(t_s, return_inverse=True)
     grid = np.zeros((n_links, len(times)))
-    grid[links, column] = density / scenario.network.jam_density_array()[links]
+    grid[links, column] = density / scenario.network.jam_density[links]
     out = _out_dir(options)
     write_heatmap(grid, scenario.sim.dt_s, out / "heatmap.svg")
     _write_manifest(out, "heatmap", options, scenario)

@@ -95,10 +95,9 @@ class DemandProfile:
 
 def demand_at(profile: DemandProfile, t_s: float) -> float:
     """Inflow rate (veh/s) at time ``t_s``: linear between breakpoints, 0 outside."""
-    pts = profile.breakpoints
-    if not pts or t_s < pts[0][0] or t_s > pts[-1][0]:
+    if not profile.breakpoints:
         return 0.0
-    return float(np.interp(t_s, profile.times, profile.rates))
+    return float(np.interp(t_s, profile.times, profile.rates, left=0.0, right=0.0))
 
 
 @dataclass(frozen=True)
@@ -116,6 +115,11 @@ class Network:
     beta_max_m: float
     beta_h_m: float
     paths: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # Per-link arrays in link-id order, built once and read-only.
+    lanes: np.ndarray = field(init=False, repr=False, compare=False)
+    length_m: np.ndarray = field(init=False, repr=False, compare=False)
+    speed_mps: np.ndarray = field(init=False, repr=False, compare=False)
+    jam_density: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.od_pairs) != 1:
@@ -138,22 +142,15 @@ class Network:
                     f"smaller than the minimum headway {self.beta_min_m}"
                 )
         object.__setattr__(self, "paths", _simple_paths(self.links, self.od_pairs[0]))
+        for name, attr in (("lanes", "lanes"), ("length_m", "length_m"),
+                           ("speed_mps", "free_flow_speed_mps"), ("jam_density", "jam_density")):
+            values = np.array([getattr(l, attr) for l in self.links], dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @property
     def n_links(self) -> int:
         return len(self.links)
-
-    def lanes_array(self) -> np.ndarray:
-        return np.array([l.lanes for l in self.links], dtype=float)
-
-    def length_array(self) -> np.ndarray:
-        return np.array([l.length_m for l in self.links], dtype=float)
-
-    def speed_array(self) -> np.ndarray:
-        return np.array([l.free_flow_speed_mps for l in self.links], dtype=float)
-
-    def jam_density_array(self) -> np.ndarray:
-        return np.array([l.jam_density for l in self.links], dtype=float)
 
 
 def _simple_paths(links: tuple[Link, ...], od: ODPair) -> tuple[tuple[int, ...], ...]:

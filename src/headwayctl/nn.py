@@ -49,7 +49,7 @@ def mlp_forward(layers, x):
 def mlp_backward(layers, caches, dout):
     """Gradients of sum(dout * output) w.r.t. every layer's W and b."""
     grads = [None] * len(layers)
-    d = np.asarray(dout, dtype=float)
+    d = dout
     last = len(layers) - 1
     for i in range(last, -1, -1):
         W, _ = layers[i]
@@ -63,9 +63,6 @@ def mlp_backward(layers, caches, dout):
 
 def gaussian_log_prob(mean, log_std, x):
     """Per-sample log density of a diagonal Gaussian, summed over dims."""
-    mean = np.asarray(mean, dtype=float)
-    x = np.asarray(x, dtype=float)
-    log_std = np.asarray(log_std, dtype=float)
     z = (x - mean) / np.exp(log_std)
     return (-0.5 * np.log(2.0 * np.pi) - log_std - 0.5 * z * z).sum(axis=-1)
 
@@ -102,16 +99,3 @@ class Adam:
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
             p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
-
-
-def flatten_arrays(arrays) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def unflatten_like(vector: np.ndarray, arrays) -> list[np.ndarray]:
-    out = []
-    i = 0
-    for a in arrays:
-        out.append(vector[i:i + a.size].reshape(a.shape))
-        i += a.size
-    return out

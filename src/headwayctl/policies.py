@@ -40,12 +40,9 @@ def min_headway_policy(network: Network) -> np.ndarray:
     return np.full(network.n_links, network.beta_min_m)
 
 
-def sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=float)))
-
-
 def squash_to_bounds(u, beta_min: float, beta_max: float):
-    return beta_min + (beta_max - beta_min) * sigmoid(u)
+    """Map pre-squash outputs into [beta_min, beta_max] through a sigmoid."""
+    return beta_min + (beta_max - beta_min) * (0.5 * (1.0 + np.tanh(0.5 * u)))
 
 
 @dataclass
@@ -79,10 +76,7 @@ class PolicyParams:
 
 def policy_act(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
     """Map an observation to a bounded headway action: the squashed mean."""
-    obs = np.asarray(obs, dtype=float)
-    if obs.shape != (params.obs_dim,):
-        raise ValueError(f"observation shape {obs.shape} != ({params.obs_dim},)")
-    u, _ = mlp_forward(params.layers, obs[None, :])
+    u, _ = mlp_forward(params.layers, np.asarray(obs, dtype=float)[None, :])
     return squash_to_bounds(u[0], params.beta_min_m, params.beta_max_m)
 
 
@@ -163,6 +157,12 @@ def make_controller(name: str, network: Network):
             raise CheckpointError(
                 f"checkpoint reads {params.obs_dim} observations, the scenario gives "
                 f"{observation_size(network.n_links)}"
+            )
+        bounds = (params.beta_min_m, params.beta_max_m)
+        if bounds != (network.beta_min_m, network.beta_max_m):
+            raise CheckpointError(
+                f"checkpoint headway bounds {list(bounds)} differ from the scenario's "
+                f"{[network.beta_min_m, network.beta_max_m]}"
             )
         return lambda obs: policy_act(params, obs)
     raise ConfigError(f"unknown controller {name!r} (want uniform, min, or policy:<path>)")

@@ -19,6 +19,7 @@ Everything is seeded: same config -> same parameters, same learning curve.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -88,29 +89,9 @@ class ActorCritic:
             out.extend((W, b))
         return out
 
-    def copy_policy(self) -> PolicyParams:
-        return PolicyParams(
-            layers=[(W.copy(), b.copy()) for W, b in self.policy.layers],
-            log_std=self.policy.log_std.copy(),
-            beta_min_m=self.policy.beta_min_m,
-            beta_max_m=self.policy.beta_max_m,
-            obs_version=self.policy.obs_version,
-        )
-
     def value(self, obs_batch: np.ndarray) -> np.ndarray:
         v, _ = mlp_forward(self.value_layers, obs_batch)
         return v[:, 0]
-
-
-@dataclass
-class RolloutBuffer:
-    """One update's worth of aligned decision-step records."""
-
-    obs: np.ndarray        # (N, obs_dim)
-    actions_u: np.ndarray  # (N, A) pre-squash samples
-    log_probs: np.ndarray  # (N,)
-    advantages: np.ndarray # (N,)
-    returns: np.ndarray    # (N,)
 
 
 def compute_gae(rewards, values, dones, gamma: float, lam: float):
@@ -119,9 +100,6 @@ def compute_gae(rewards, values, dones, gamma: float, lam: float):
     ``values`` must carry one extra trailing element: the bootstrap value of
     the state after the last transition. Returns (advantages, returns).
     """
-    rewards = np.asarray(rewards, dtype=float)
-    values = np.asarray(values, dtype=float)
-    dones = np.asarray(dones, dtype=float)
     T = len(rewards)
     if len(values) != T + 1 or len(dones) != T:
         raise ValueError("misaligned GAE inputs")
@@ -210,10 +188,14 @@ def loss_and_grads(ac: ActorCritic, obs, actions_u, log_probs_old, advantages, r
     return float(loss), grads, stats
 
 
-def ppo_update(ac: ActorCritic, buffer: RolloutBuffer, adam: Adam, rng) -> dict:
-    """Run the epochs/minibatch schedule over a full buffer, in place."""
-    N = buffer.obs.shape[0]
-    adv = buffer.advantages
+def ppo_update(ac: ActorCritic, batch, adam: Adam, rng) -> dict:
+    """Run the epochs/minibatch schedule over one update's rollout, in place.
+
+    ``batch`` is (obs, pre-squash actions, log probs, advantages, returns),
+    aligned along their first axis.
+    """
+    obs, actions_u, log_probs, adv, returns = batch
+    N = obs.shape[0]
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     agg = {"policy_loss": 0.0, "value_loss": 0.0, "clip_fraction": 0.0}
     batches = 0
@@ -222,10 +204,8 @@ def ppo_update(ac: ActorCritic, buffer: RolloutBuffer, adam: Adam, rng) -> dict:
         order = rng.permutation(N)
         for start in range(0, N, TrainConfig.batch_size):
             idx = order[start:start + TrainConfig.batch_size]
-            loss, grads, stats = loss_and_grads(
-                ac, buffer.obs[idx], buffer.actions_u[idx], buffer.log_probs[idx],
-                adv[idx], buffer.returns[idx],
-            )
+            loss, grads, stats = loss_and_grads(ac, obs[idx], actions_u[idx], log_probs[idx],
+                                                adv[idx], returns[idx])
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite PPO loss: {loss}")
             adam.step(params, grads)
@@ -255,7 +235,7 @@ def train(scenario: Scenario, config: TrainConfig = TrainConfig()):
 
     n_updates = config.total_steps // config.n_steps
     curve: list[dict] = []
-    best_params = ac.copy_policy()
+    best_params = copy.deepcopy(ac.policy)
     if n_updates == 0:
         return best_params, curve
 
@@ -313,20 +293,15 @@ def train(scenario: Scenario, config: TrainConfig = TrainConfig()):
                 rew_buf[e], np.append(val_buf[e], bootstrap[e]), done_buf[e], GAMMA, GAE_LAMBDA,
             )
 
-        buffer = RolloutBuffer(
-            obs=obs_buf.reshape(E * S, D),
-            actions_u=u_buf.reshape(E * S, A),
-            log_probs=logp_buf.reshape(E * S),
-            advantages=adv_buf.reshape(E * S),
-            returns=ret_buf.reshape(E * S),
-        )
-        stats = ppo_update(ac, buffer, adam, rng)
+        batch = (obs_buf.reshape(E * S, D), u_buf.reshape(E * S, A), logp_buf.reshape(E * S),
+                 adv_buf.reshape(E * S), ret_buf.reshape(E * S))
+        stats = ppo_update(ac, batch, adam, rng)
 
         eval_ttts = evaluate_policy(scenario, ac.policy, config.eval_seeds)
         mean_ttt = float(np.mean(eval_ttts))
         if mean_ttt < best_ttt:
             best_ttt = mean_ttt
-            best_params = ac.copy_policy()
+            best_params = copy.deepcopy(ac.policy)
         curve.append({
             "update_index": update,
             "env_steps": update * config.n_steps,

@@ -11,8 +11,6 @@ already en route keep the path they were assigned at injection.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 HUMAN, AUTO = 0, 1
@@ -21,31 +19,22 @@ HUMAN, AUTO = 0, 1
 def logit_update(shares: np.ndarray, latencies: np.ndarray, mu: float) -> np.ndarray:
     """Reweight a share vector by exp(-mu * latency) and renormalize.
 
-    Weights are shifted by the minimum latency before exponentiation so the
-    update is exactly invariant to adding a constant to all latencies and
-    never underflows on the slow paths alone. Zero shares stay zero.
-    Both vectors are float arrays; ``SimConfig`` holds ``mu`` non-negative.
+    Weights are shifted by the best latency among paths that still carry
+    mass, so the update is exactly invariant to adding a constant to all
+    latencies and that path's weight stays O(1): the normalizer never
+    underflows. Zero shares stay zero; a dead path faster than every live one
+    has its exponent clamped at 0. Both vectors are float arrays;
+    ``SimConfig`` holds ``mu`` non-negative.
     """
-    if shares.size and shares.min() > 0.0:
-        # Fast path, every path carries mass: the masked form below without
-        # the masks. min and max propagate NaN, so both finite means every
-        # latency is.
-        shift = latencies.min()
-        if math.isfinite(shift) and math.isfinite(latencies.max()):
-            weights = shares * np.exp(-mu * (latencies - shift))
-            return weights / weights.sum()
     if not np.isfinite(latencies).all():
         raise ValueError("latencies must be finite")
-    if (shares < 0).any():
+    if shares.min(initial=0.0) < 0.0:
         raise ValueError("shares must be non-negative")
-    alive = shares > 0.0
-    if not alive.any():
+    # Latencies are finite, so only a vector with no share alive shifts by inf.
+    shift = latencies.min(where=shares > 0.0, initial=np.inf)
+    if shift == np.inf:
         raise ValueError("at least one share must be positive")
-    # Shift by the best latency among paths that still carry mass: that
-    # path's weight stays O(1), so the normalizer can never underflow.
-    shift = latencies[alive].min()
-    weights = np.zeros_like(shares)
-    weights[alive] = shares[alive] * np.exp(-mu * (latencies[alive] - shift))
+    weights = shares * np.exp(-mu * np.maximum(latencies - shift, 0.0))
     return weights / weights.sum()
 
 

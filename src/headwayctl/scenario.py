@@ -263,6 +263,9 @@ def _scenario_from_dict(data: dict) -> Scenario:
         beta_max_m=float(control["beta_max_m"]),
         beta_h_m=float(control["beta_h_m"]),
     )
+    # Optional keys a document leaves out take SimConfig's defaults.
+    optional = {k: float(sim_section[k]) for k in ("initial_jitter", "latency_unit_s",
+                                                    "reward_scale") if k in sim_section}
     sim = SimConfig(
         dt_s=float(sim_section["dt_s"]),
         horizon_s=float(sim_section["horizon_s"]),
@@ -270,9 +273,7 @@ def _scenario_from_dict(data: dict) -> Scenario:
         initial_counts={int(k): float(v) for k, v in sim_section.get("initial_counts", {}).items()},
         mu_h=float(sim_section["mu_h"]),
         mu_a=float(sim_section["mu_a"]),
-        initial_jitter=float(sim_section.get("initial_jitter", 0.05)),
-        latency_unit_s=float(sim_section.get("latency_unit_s", 60.0)),
-        reward_scale=float(sim_section.get("reward_scale", 1e-3)),
+        **optional,
     )
     return Scenario(network=network, demand=demand, sim=sim)
 

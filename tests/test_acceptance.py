@@ -25,7 +25,6 @@ from headwayctl.fundamental import (
     sending_flow,
 )
 from headwayctl.harness import main
-from headwayctl.nn import flatten_arrays, unflatten_like
 from headwayctl.ppo import TrainConfig, evaluate_policy, loss_and_grads, train
 from headwayctl.routing import logit_update
 from headwayctl.scenario import braess5_scenario
@@ -121,7 +120,7 @@ def test_criterion_3_conservation_100_episodes():
     start = time.time()
     sc = braess5_scenario()
     env = TrafficEnv(sc)
-    jam_counts = sc.network.jam_density_array() * sc.network.length_array()
+    jam_counts = sc.network.jam_density * sc.network.length_m
     rng = np.random.default_rng(77)
     worst_rel = 0.0
     for episode in range(100):
@@ -200,7 +199,7 @@ def test_criterion_6_training_efficacy():
 
 
 def test_criterion_7_gradient_check():
-    from tests.test_ppo import small_instance
+    from tests.test_ppo import flatten_arrays, small_instance, unflatten_like
 
     start = time.time()
     worst = 0.0

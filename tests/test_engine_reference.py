@@ -27,7 +27,7 @@ def loop_step(env):
     (one value per ``EpisodeTrace`` array) and the vehicles that exited."""
     net, sim, counts, queues = env.net, env.sim, env.counts, env.queues
     dt = sim.dt_s
-    length, jam = net.length_array(), net.jam_density_array()
+    length, jam = net.length_m, net.jam_density
     jam_count = jam * length
     paths = net.paths
     next_link = np.full((net.n_links, len(paths)), NOT_ON_PATH)
@@ -39,11 +39,11 @@ def loop_step(env):
     n_auto = counts[:, :, AUTO].sum(axis=1)
     with np.errstate(invalid="ignore"):
         alpha = np.where(n_link > 0.0, n_auto / np.where(n_link > 0.0, n_link, 1.0), 0.0)
-    ncrit = fd.critical_density(net.lanes_array(), alpha, env.beta_a, net.beta_h_m)
+    ncrit = fd.critical_density(net.lanes, alpha, env.beta_a, net.beta_h_m)
     rho = n_link / length
-    flow = fd.sending_flow(rho, net.speed_array(), ncrit, jam)
+    flow = fd.sending_flow(rho, net.speed_mps, ncrit, jam)
     congested = fd.congestion_state(rho, ncrit)
-    latency = fd.link_latency(flow, congested, length, net.speed_array(), ncrit, jam)
+    latency = fd.link_latency(flow, congested, length, net.speed_mps, ncrit, jam)
     path_lat = np.array([fd.path_latency(p, latency) for p in paths])
     row = {"t_s": env.t_s, "count": n_link, "density": rho, "autonomy": alpha,
            "congested": congested, "flow_vps": flow, "latency_s": latency,

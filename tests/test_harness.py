@@ -16,7 +16,7 @@ from headwayctl.policies import (
     make_controller,
     save_checkpoint,
 )
-from headwayctl.scenario import braess5_scenario, save_scenario
+from headwayctl.scenario import braess5_scenario, load_scenario, save_scenario
 
 
 @pytest.fixture
@@ -476,7 +476,6 @@ class TestFailFastScenario:
 
     def assert_rejected(self, tmp_path, edit, match):
         from headwayctl.network import ConfigError
-        from headwayctl.scenario import load_scenario
 
         path = edited_scenario(tmp_path, edit)
         with pytest.raises(ConfigError, match=match):
@@ -608,6 +607,25 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError, match="14 observations"):
             make_controller(f"policy:{path}", braess5_scenario().network)
         self.assert_exit_3(short_scenario, tmp_path, path)
+
+    def test_headway_bounds_against_network(self, tmp_path):
+        # A [1, 10] checkpoint on a [4, 7] scenario would have every action
+        # clamped to the scenario's bounds.
+        narrow = edited_scenario(tmp_path, lambda doc: doc["control"].update(
+            beta_min_m=4.0, beta_max_m=7.0), name="narrow.json")
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(PolicyParams.new(12, 5, np.random.default_rng(0), 1.0, 10.0), path)
+        with pytest.raises(CheckpointError, match="headway bounds"):
+            make_controller(f"policy:{path}", load_scenario(narrow).network)
+        self.assert_exit_3(str(narrow), tmp_path, path)
+        assert not (tmp_path / "ev").exists()
+
+    def test_non_finite_headway_bound(self, short_scenario, tmp_path):
+        def edit(doc):
+            doc["beta_min_m"] = float("nan")
+        path = self.checkpoint(tmp_path, edit)
+        self.assert_exit_3(short_scenario, tmp_path, path)
+        assert not (tmp_path / "ev").exists()
 
 
 class TestHonestReplay:

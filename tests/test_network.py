@@ -82,6 +82,13 @@ class TestBraess5:
         with pytest.raises(ConfigError, match="within the action bounds"):
             replace(net, beta_h_m=99.0)
 
+    def test_link_arrays_are_read_only(self):
+        net = braess5_scenario().network
+        assert np.array_equal(net.length_m, [l.length_m for l in net.links])
+        assert np.array_equal(net.jam_density, [l.jam_density for l in net.links])
+        with pytest.raises(ValueError, match="read-only"):
+            net.length_m[0] = 1.0
+
 
 class TestBraess8:
     def test_link_count(self):
@@ -222,6 +229,12 @@ class TestScenarioIO:
         older["sim"]["seed"] = 7
         assert scenario_to_dict(scenario_from_dict(older)) == doc
 
+    def test_missing_optional_sim_keys_take_simconfig_defaults(self):
+        doc = scenario_to_dict(braess5_scenario())
+        for key in ("initial_jitter", "latency_unit_s", "reward_scale"):
+            del doc["sim"][key]
+        assert scenario_from_dict(doc).sim == braess5_scenario().sim
+
     def test_builtin_names(self):
         assert load_scenario("braess5").network.n_links == 5
         assert load_scenario("braess8").network.n_links == 8
@@ -263,5 +276,5 @@ def test_critical_below_jam_for_all_actions():
     for _ in range(200):
         beta_a = rng.uniform(net.beta_min_m, net.beta_max_m)
         alpha = rng.uniform(0.0, 1.0)
-        nc = critical_density(net.lanes_array(), alpha, beta_a, net.beta_h_m)
-        assert np.all(nc < net.jam_density_array())
+        nc = critical_density(net.lanes, alpha, beta_a, net.beta_h_m)
+        assert np.all(nc < net.jam_density)

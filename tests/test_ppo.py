@@ -8,17 +8,14 @@ import pytest
 from headwayctl.engine import TrafficEnv, run_episode
 from headwayctl.nn import (
     Adam,
-    flatten_arrays,
     gaussian_log_prob,
     init_layers,
     mlp_backward,
     mlp_forward,
-    unflatten_like,
 )
 from headwayctl.policies import PolicyParams, policy_act
 from headwayctl.ppo import (
     ActorCritic,
-    RolloutBuffer,
     TrainConfig,
     _ReturnNormalizer,
     compute_gae,
@@ -28,6 +25,21 @@ from headwayctl.ppo import (
 )
 from headwayctl.scenario import braess5_scenario
 from tests.test_engine import single_link_scenario
+
+
+def flatten_arrays(arrays) -> np.ndarray:
+    """One vector of every array's entries, in order: finite differences probe it."""
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def unflatten_like(vector: np.ndarray, arrays) -> list[np.ndarray]:
+    """Split ``vector`` back into arrays shaped like ``arrays``."""
+    out = []
+    i = 0
+    for a in arrays:
+        out.append(vector[i:i + a.size].reshape(a.shape))
+        i += a.size
+    return out
 
 
 class TestMLP:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from headwayctl.fundamental import LATENCY_CAP_S
 from headwayctl.routing import AUTO, HUMAN, logit_update, step_shares
 
 
@@ -121,27 +122,36 @@ def masked_logit_update(shares, latencies, mu):
     return weights / weights.sum()
 
 
-def test_all_alive_fast_path_matches_masked_form_exactly():
+def test_all_alive_update_matches_masked_form_exactly():
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        shares = rng.dirichlet(np.ones(5))
-        lat = rng.uniform(0.0, 3_000.0, size=5)
-        mu = rng.uniform(0.0, 2.0)
+    for k in range(400):
+        n = 1 + k % 6
+        shares = rng.dirichlet(np.ones(n))
+        lat = rng.uniform(0.0, 3_000.0, size=n)
+        if k % 4 == 1:
+            lat[rng.integers(n)] = LATENCY_CAP_S
+        mu = rng.uniform(0.0, 2.0) if k % 2 else rng.uniform(0.0, 100.0)
         assert np.array_equal(logit_update(shares, lat, mu), masked_logit_update(shares, lat, mu))
 
 
-def test_one_zero_share_matches_masked_form_exactly():
+def test_dead_paths_match_masked_form_exactly():
     rng = np.random.default_rng(12)
-    for k in range(200):
-        shares = rng.dirichlet(np.ones(4))
-        shares[k % 4] = 0.0
+    for k in range(400):
+        n = 2 + k % 5
+        shares = rng.dirichlet(np.ones(n))
+        dead = rng.choice(n, size=1 + k % (n - 1), replace=False)  # one path stays alive
+        shares[dead] = 0.0
         shares /= shares.sum()
-        lat = rng.uniform(0.0, 3_000.0, size=4)
-        # The dead path is often the fastest: its latency must not set the shift.
-        lat[k % 4] = 0.0 if k % 2 else lat[k % 4]
-        out = logit_update(shares, lat, 0.3)
-        assert np.array_equal(out, masked_logit_update(shares, lat, 0.3))
-        assert out[k % 4] == 0.0
+        lat = rng.uniform(0.0, 3_000.0, size=n)
+        # A dead path is often the fastest: its latency must not set the shift.
+        if k % 2:
+            lat[dead[0]] = 0.0
+        if k % 3 == 0:
+            lat[rng.integers(n)] = LATENCY_CAP_S
+        mu = rng.uniform(0.0, 2.0) if k % 4 < 2 else rng.uniform(0.0, 100.0)
+        out = logit_update(shares, lat, mu)
+        assert np.array_equal(out, masked_logit_update(shares, lat, mu))
+        assert np.all(out[dead] == 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -5,15 +5,18 @@ and leaving a ``Tracer`` patches and restores them without running anything,
 so a refactor that renames or deletes one of those names fails here, not
 only in a traced benchmark run. ``perfbench/workloads.py`` reads training
 values off ``TrainConfig()`` and network and env values in its exact-count
-checks; tests evaluate those checks against an empty report. The last test
+checks; tests evaluate those checks against an empty report. Another test
 pins every value the program lets a caller set, so that a new knob fails by
-name.
+name. The last one checks that the repo's pytest settings report a failing
+Hypothesis test as a failure and go on to the next test.
 """
 
 import ast
 import importlib
 import importlib.util
+import subprocess
 import sys
+import textwrap
 from numbers import Integral
 from pathlib import Path
 
@@ -153,3 +156,28 @@ def test_settable_values():
     for path in sorted((ROOT / "src" / "headwayctl").glob("*.py")):
         found += settable_values(ast.parse(path.read_text()), f"{path.stem}.")
     assert found == SETTABLE_VALUES
+
+
+def test_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
+    """Reporting a failing example imports libcst, which warns; under the repo's
+    warnings-as-errors filter that warning must not end the run."""
+    (tmp_path / "test_pair.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+
+        @settings(derandomize=True, database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+
+        def test_runs_after():
+            pass
+    """))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_pair.py")],
+        capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
