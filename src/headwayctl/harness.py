@@ -1,8 +1,9 @@
 """Command-line harness: simulate, train, evaluate, sweeps, heat maps.
 
-Every command writes a ``manifest.json`` capturing its resolved options and
-a content hash of the scenario; re-running with ``--from-manifest`` (plus a
-fresh ``--out``) reproduces the CSV outputs byte for byte.
+Every command writes a ``manifest.json`` holding the canonical command line
+of its resolved options and a content hash of the scenario; re-running with
+``--from-manifest`` (plus a fresh ``--out``) parses that command line again
+and reproduces the CSV outputs byte for byte.
 
 Outputs are plain CSV and SVG only. Episodes run one after another, in
 seed order.
@@ -14,12 +15,15 @@ import argparse
 import csv
 import hashlib
 import json
+import platform
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path as FsPath
 
 import numpy as np
 
+from . import __version__
 from .engine import TRACE_CSV_HEADER, run_episode, trace_to_csv_rows
 from .heatmap import write_heatmap
 from .network import ConfigError
@@ -46,37 +50,32 @@ def _scenario_sha256(scenario: Scenario) -> str:
     return hashlib.sha256(canon).hexdigest()
 
 
-def _write_manifest(out_dir: FsPath, command: str, options: dict, scenario: Scenario) -> None:
+def _argv(options: dict) -> list[str]:
+    """The canonical command line of parsed options: the command, then every
+    option but ``--out`` as ``--flag=value``, in parser order."""
+    argv = [options["command"]]
+    for dest, value in options.items():
+        if dest not in ("command", "out"):
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            flag = "seed" if dest == "seeds" else dest.replace("_", "-")
+            argv.append(f"--{flag}={text}")
+    return argv
+
+
+def _write_manifest(out_dir: FsPath, options: dict, scenario: Scenario) -> None:
+    """Replay reads ``argv`` and ``scenario_sha256``; ``provenance`` only
+    records what wrote the manifest."""
     doc = {
         "format": "headwayctl-manifest",
-        "command": command,
-        "options": options,
+        "argv": _argv(options),
         "scenario_sha256": _scenario_sha256(scenario),
+        "provenance": {
+            "headwayctl": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "platform": platform.platform(),
+            "written_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        },
     }
     (out_dir / MANIFEST_NAME).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _load_manifest(path: str) -> tuple[str, dict, str | None]:
-    try:
-        doc = json.loads(FsPath(path).read_text())
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from None
-    if not (isinstance(doc, dict) and doc.get("format") == "headwayctl-manifest"
-            and isinstance(doc.get("command"), str) and isinstance(doc.get("options"), dict)):
-        raise ConfigError(f"not a run manifest: {path}")
-    return doc["command"], doc["options"], doc.get("scenario_sha256")
-
-
-def _check_replay_scenario(options: dict, stored_sha256: str | None) -> None:
-    """Refuse to replay when the scenario no longer hashes as recorded."""
-    if stored_sha256 is None:
-        raise ConfigError("manifest has no scenario_sha256; cannot verify the replay")
-    current = _scenario_sha256(load_scenario(options["scenario"]))
-    if current != stored_sha256:
-        raise ConfigError(
-            f"scenario {options['scenario']} has changed since the manifest was written "
-            f"(sha256 {current} != {stored_sha256}); replay would not reproduce the run"
-        )
 
 
 def _summary_rows(seeds, ttts, exits):
@@ -143,7 +142,7 @@ def cmd_simulate(options: dict) -> int:
     exits = [t.total_exited for t in traces]
     write_csv(out / "summary.csv", ["seed", "ttt", "total_exited"],
               _summary_rows(seeds, ttts, exits))
-    _write_manifest(out, options["command"], options, scenario)
+    _write_manifest(out, options, scenario)
     print(f"{options['controller']}: mean TTT {np.mean(ttts):.1f} over {len(seeds)} seed(s)")
     return EXIT_OK
 
@@ -158,7 +157,7 @@ def cmd_train(options: dict) -> int:
     save_checkpoint(params, out / "checkpoint.json")
     write_csv(out / "learning_curve.csv", LEARNING_CURVE_HEADER,
               [[row[k] for k in LEARNING_CURVE_HEADER] for row in curve])
-    _write_manifest(out, "train", options, scenario)
+    _write_manifest(out, options, scenario)
     if curve:
         print(f"trained {options['budget']} decision steps; "
               f"best eval TTT {curve[-1]['best_eval_ttt']:.1f}")
@@ -179,7 +178,7 @@ def cmd_sweep_mu(options: dict) -> int:
         ttts = policy_ttts(sc)
         rows.append([mu, float(np.mean(ttts)), float(np.std(ttts)), len(ttts)])
     write_csv(out / "sweep_mu.csv", ["mu", "mean_ttt", "std_ttt", "n_seeds"], rows)
-    _write_manifest(out, "sweep-mu", options, scenario)
+    _write_manifest(out, options, scenario)
     return EXIT_OK
 
 
@@ -205,7 +204,7 @@ def cmd_sweep_alpha(options: dict) -> int:
               ["alpha", "policy_mean_ttt", "policy_std_ttt",
                "uniform_mean_ttt", "uniform_std_ttt", "min_mean_ttt", "min_std_ttt"],
               rows)
-    _write_manifest(out, "sweep-alpha", options, scenario)
+    _write_manifest(out, options, scenario)
     return EXIT_OK
 
 
@@ -238,7 +237,7 @@ def cmd_heatmap(options: dict) -> int:
     grid[links, column] = density / scenario.network.jam_density[links]
     out = _out_dir(options)
     write_heatmap(grid, scenario.sim.dt_s, out / "heatmap.svg")
-    _write_manifest(out, "heatmap", options, scenario)
+    _write_manifest(out, options, scenario)
     return EXIT_OK
 
 
@@ -302,31 +301,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _replay_options(parser: argparse.ArgumentParser, command: str, stored: dict,
-                    out: str) -> dict:
-    """Pass a manifest's stored options back through the command's own flags,
-    so that a replay meets every check the command line makes. Each option the
-    command takes must be stored, as the value its flag would parse to."""
-    stored = {**stored, "out": out}
-    argv = [command]
+def _replay(parser: argparse.ArgumentParser, manifest: str, command: str, out: str) -> dict:
+    """The options of a manifest's stored command line, run into ``out``. The
+    line must be a ``command`` line that parses back to itself, so a replay
+    meets every check the command line makes and no option takes a default
+    the run did not; and the scenario must still hash as recorded."""
     try:
-        for dest in vars(parser.parse_args([command, f"--out={out}"])):
-            if dest in ("command", "from_manifest"):
-                continue
-            if dest not in stored:
-                raise ConfigError(f"manifest stores no {dest!r} option")
-            value = stored[dest]
-            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-            flag = "seed" if dest == "seeds" else dest.replace("_", "-")
-            argv.append(f"--{flag}={text}")
-        options = vars(parser.parse_args(argv))
+        doc = json.loads(FsPath(manifest).read_text())
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigError(f"cannot read manifest {manifest}: {exc}") from None
+    if not (isinstance(doc, dict) and doc.get("format") == "headwayctl-manifest"):
+        raise ConfigError(f"not a run manifest: {manifest}")
+    stored = doc.get("argv")
+    if not (isinstance(stored, list) and stored and all(isinstance(a, str) for a in stored)):
+        raise ConfigError(f"manifest {manifest} has no argv, a non-empty list of strings; "
+                          f"manifests written before argv was stored cannot replay")
+    if stored[0] != command:
+        raise ConfigError(f"manifest records a {stored[0]!r} run, not {command!r}")
+    try:
+        options = vars(parser.parse_args([*stored, f"--out={out}"]))
     except SystemExit:  # argparse has printed why
-        raise ConfigError(f"manifest options are not valid {command} flags") from None
+        raise ConfigError(f"manifest argv is not a valid {command} command line") from None
     del options["from_manifest"]
-    for dest, value in options.items():
-        if dest != "command" and value != stored[dest]:
-            raise ConfigError(f"manifest option {dest} = {stored[dest]!r} is not a "
-                              f"value its flag gives")
+    if _argv(options) != stored:
+        raise ConfigError(f"manifest argv is not canonical; it would run "
+                          f"{' '.join(_argv(options))}")
+    sha256 = _scenario_sha256(load_scenario(options["scenario"]))
+    if sha256 != doc.get("scenario_sha256"):
+        raise ConfigError(f"scenario {options['scenario']} has changed since the manifest was "
+                          f"written (sha256 {sha256} != {doc.get('scenario_sha256')}); "
+                          f"replay would not reproduce the run")
     return options
 
 
@@ -337,20 +341,15 @@ def main(argv=None) -> int:
     manifest = options.pop("from_manifest")
     try:
         if manifest:
-            # A replay runs the stored options; refuse what it would drop.
+            # A replay runs the stored command line; refuse what it would drop.
             # Subcommands take no abbreviated flags, so each given flag
             # appears in argv under its full name.
             stray = [arg for arg in argv if arg.startswith("--")
                      and arg.split("=")[0] not in ("--out", "--from-manifest")]
             if stray:
-                raise ConfigError(f"--from-manifest runs the stored options; "
+                raise ConfigError(f"--from-manifest runs the stored command line; "
                                   f"drop {' '.join(stray)}")
-            command, stored, stored_sha256 = _load_manifest(manifest)
-            if command != options["command"]:
-                raise ConfigError(f"manifest records a {command!r} run, "
-                                  f"not {options['command']!r}")
-            options = _replay_options(parser, command, stored, options["out"])
-            _check_replay_scenario(options, stored_sha256)
+            options = _replay(parser, manifest, options["command"], options["out"])
         return _DISPATCH[options["command"]](options)
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -120,7 +120,8 @@ def load_checkpoint(path: str | FsPath) -> PolicyParams:
 
 
 def _check_structure(params: PolicyParams, path) -> None:
-    """Layers chain, log_std matches the actions, observation spec is current."""
+    """Layers chain, every parameter is finite, log_std matches the actions,
+    observation spec is current."""
     if not params.layers:
         raise CheckpointError(f"checkpoint has no layers: {path}")
     for i, (W, b) in enumerate(params.layers):
@@ -134,6 +135,9 @@ def _check_structure(params: PolicyParams, path) -> None:
     if params.log_std.shape != (params.n_actions,):
         raise CheckpointError(f"checkpoint log_std has shape {params.log_std.shape}, "
                               f"expected ({params.n_actions},): {path}")
+    arrays = [a for layer in params.layers for a in layer] + [params.log_std]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise CheckpointError(f"checkpoint has a non-finite weight, bias or log_std: {path}")
     if params.obs_version != OBS_SPEC_VERSION:
         raise CheckpointError(f"checkpoint observation spec version {params.obs_version} "
                               f"!= {OBS_SPEC_VERSION}: {path}")

@@ -169,7 +169,7 @@ def test_critical_density_interpolates_between_extremes(lanes, alpha, beta_a, be
     ratio=st.floats(0.0, 1.0),
     congested=st.booleans(),
 )
-@settings(max_examples=200)
+@settings(max_examples=200, derandomize=True)
 def test_latency_never_below_free_flow(ratio, congested):
     v, d, n_c, jam = 30.0, 240_000.0, 2.0 / 3.0, 8.0
     rho = ratio * jam

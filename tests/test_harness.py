@@ -160,9 +160,24 @@ class TestManifestReplay:
         main(["simulate", "--scenario", short_scenario, "--out", str(out)])
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["format"] == "headwayctl-manifest"
-        assert doc["command"] == "simulate"
-        assert doc["options"]["scenario"] == short_scenario
+        assert doc["argv"] == ["simulate", f"--scenario={short_scenario}", "--seed=0",
+                               "--controller=uniform"]
         assert len(doc["scenario_sha256"]) == 64
+        assert set(doc["provenance"]) == {"headwayctl", "python", "numpy", "platform",
+                                          "written_utc"}
+
+    def test_edited_provenance_replays(self, short_scenario, tmp_path):
+        # Replay reads only the command line and the scenario hash.
+        first = tmp_path / "first"
+        assert main(["simulate", "--scenario", short_scenario, "--out", str(first)]) == EXIT_OK
+        manifest = first / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["provenance"] = {"headwayctl": "9.9", "written_utc": "edited"}
+        manifest.write_text(json.dumps(doc))
+        again = tmp_path / "again"
+        assert main(["simulate", "--from-manifest", str(manifest),
+                     "--out", str(again)]) == EXIT_OK
+        assert read_bytes_of_csvs(first) == read_bytes_of_csvs(again)
 
     @pytest.mark.parametrize("extra", [
         ["--seed", "3"], ["--controller", "min"], ["--seed", "0"], ["--seed=0"],
@@ -230,7 +245,7 @@ class TestSweeps:
         assert rows[0] == "mu,mean_ttt,std_ttt,n_seeds"
         assert len(rows) == 4
         doc = json.loads((out / "manifest.json").read_text())
-        assert doc["command"] == "sweep-mu"
+        assert doc["argv"][0] == "sweep-mu"
 
     def test_sweep_mu_empty_list_exit_2(self, short_scenario, tmp_path):
         code = main(["sweep-mu", "--scenario", short_scenario,
@@ -627,6 +642,23 @@ class TestCheckpointValidation:
         self.assert_exit_3(short_scenario, tmp_path, path)
         assert not (tmp_path / "ev").exists()
 
+    @pytest.mark.parametrize("where", ["nan-bias", "inf-weight", "nan-log_std"])
+    def test_non_finite_parameter(self, short_scenario, tmp_path, where):
+        # A NaN bias would otherwise pass every shape check and fail only
+        # mid-episode, after --out exists.
+        def edit(doc):
+            if where == "nan-bias":
+                doc["layers"][0]["b"][0] = float("nan")
+            elif where == "inf-weight":
+                doc["layers"][1]["w"][0][0] = float("inf")
+            else:
+                doc["log_std"][0] = float("nan")
+        path = self.checkpoint(tmp_path, edit)
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path)
+        self.assert_exit_3(short_scenario, tmp_path, path)
+        assert not (tmp_path / "ev").exists()
+
 
 class TestHonestReplay:
     def test_edited_scenario_refuses_replay(self, tmp_path):
@@ -667,6 +699,14 @@ class TestHonestReplay:
                      "--out", str(again)]) == EXIT_USAGE
         assert not again.exists()
 
+    @staticmethod
+    def set_flag(doc, flag, text):
+        """Give ``flag`` the value ``text`` in the stored argv, or drop it if
+        ``text`` is None."""
+        argv = doc["argv"]
+        i = next(i for i, arg in enumerate(argv) if arg.startswith(f"{flag}="))
+        argv[i:i + 1] = [] if text is None else [f"{flag}={text}"]
+
     def test_replay_without_out_leaves_the_run_alone(self, short_scenario, tmp_path):
         first = tmp_path / "first"
         assert main(["simulate", "--scenario", short_scenario, "--out", str(first)]) == EXIT_OK
@@ -684,27 +724,33 @@ class TestHonestReplay:
     def test_bad_replayed_seeds_exit_2(self, tmp_path, command, seeds):
         # The checks --seed makes on the command line hold for a hand-edited
         # manifest too.
-        edit = lambda doc: doc["options"].update(seeds=seeds)
+        edit = lambda doc: self.set_flag(doc, "--seed", ",".join(map(str, seeds)))
         self.assert_replay_refused(tmp_path, command, edit)
 
     @pytest.mark.parametrize("command, key, value", [
         ("train", "budget", "x"),
         ("train", "budget", None),
-        ("train", "n_envs", "8"),
+        ("train", "n_envs", "08"),
         ("train", "n_steps", KeyError),
     ])
     def test_bad_replayed_option_exit_2(self, tmp_path, command, key, value):
-        # Replay passes the stored options through the command's own flags:
-        # each must be stored, as the value its flag would parse to.
-        def edit(doc):
-            if value is KeyError:
-                del doc["options"][key]
-            else:
-                doc["options"][key] = value
-
+        # Replay parses the stored argv with the command's own parser, and
+        # the argv must be the canonical line of what it parses to: no bad
+        # value, no non-canonical spelling (08 for 8), no missing flag.
+        flag = "--" + key.replace("_", "-")
+        edit = lambda doc: self.set_flag(doc, flag, None if value is KeyError else str(value))
         self.assert_replay_refused(tmp_path, command, edit)
 
     @pytest.mark.parametrize("command", ["bogus", 5])
     def test_unknown_replayed_command_exit_2(self, tmp_path, command):
-        edit = lambda doc: doc.update(command=command)
+        edit = lambda doc: doc["argv"].__setitem__(0, command)
+        self.assert_replay_refused(tmp_path, "simulate", edit)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("argv"),
+        lambda doc: doc.update(argv=[]),
+        lambda doc: doc.update(argv="simulate --seed=0"),
+    ], ids=["missing", "empty", "string"])
+    def test_manifest_without_argv_exit_2(self, tmp_path, edit):
+        # Manifests written before the command line was stored have no argv.
         self.assert_replay_refused(tmp_path, "simulate", edit)

@@ -5,7 +5,8 @@ and leaving a ``Tracer`` patches and restores them without running anything,
 so a refactor that renames or deletes one of those names fails here, not
 only in a traced benchmark run. ``perfbench/workloads.py`` reads training
 values off ``TrainConfig()`` and network and env values in its exact-count
-checks; tests evaluate those checks against an empty report. Another test
+checks; tests evaluate those checks against an empty report and against one
+traced call of each episode workload, whose counts must match. Another test
 pins every value the program lets a caller set, so that a new knob fails by
 name. The last one checks that the repo's pytest settings report a failing
 Hypothesis test as a failure and go on to the next test.
@@ -98,6 +99,20 @@ def test_workload_count_checks_find_every_name(tmp_path):
         for metric, measured, expected in counts:
             assert measured == 0, (name, metric)
             assert isinstance(expected, Integral) and expected >= 0, (name, metric, expected)
+
+
+def test_one_traced_call_meets_the_exact_counts(tmp_path):
+    """One traced call of each episode workload gives its reference outputs
+    and every exact span count the benchmark checks."""
+    tracer, workloads = load_tracer(), load_module(WORKLOADS)
+    for name in ("simulate-braess8", "evaluate-braess5"):
+        workload = workloads.make(name, 0, tmp_path / name)
+        workload.setup()
+        with tracer.Tracer() as traced:
+            result = workload.run(0)
+        assert result.failed == 0, name
+        counts = workload.expected_counts(traced.report(), [result.op])
+        assert [(m, got) for m, got, _ in counts] == [(m, want) for m, _, want in counts], name
 
 
 # Every parameter and dataclass field in src/headwayctl that has a default.
