@@ -15,7 +15,8 @@ The functions the engine calls every step do arithmetic only; callers pass
 values validated where they enter. ``Network`` holds headways finite and
 positive and jam spacing below the minimum headway (so n_c < n_jam), ``Link``
 lengths and speeds finite and positive, ``DemandProfile`` the autonomy
-fraction in [0, 1], ``SimConfig`` the rationality factors non-negative, and
+fraction in [0, 1], ``SimConfig`` the rationality factors non-negative,
+``Scenario`` the largest values the step derives from them finite, and
 ``TrafficEnv.apply_action`` clamps each finite action into the headway bounds.
 """
 
@@ -71,8 +72,8 @@ def link_latency(flow, congested, length_m, free_flow_speed_mps, crit_density, j
     d, v, n_c, n_jam = length_m, free_flow_speed_mps, crit_density, jam_density
     # Only congested links with positive flow divide. A congested link with no
     # flow reads inf, which the cap turns into LATENCY_CAP_S. On a congested
-    # link sending_flow gives either 0 or a flow far above where n_jam / flow
-    # could overflow.
+    # link sending_flow gives either 0 or at least about eps of capacity, and
+    # a Scenario is refused at load if the latency at that flow overflows.
     congested = congested > 0
     jam_over_flow = np.divide(n_jam, flow, out=np.full_like(flow, np.inf, dtype=float),
                               where=congested & (flow > 0.0))

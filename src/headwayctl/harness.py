@@ -1,7 +1,8 @@
 """Command-line harness: simulate, train, evaluate, sweeps, heat maps.
 
 Every command writes a ``manifest.json`` holding the canonical command line
-of its resolved options and a content hash of the scenario; re-running with
+of its resolved options, a content hash of the scenario and the sha256 of
+each other file the command line names; re-running with
 ``--from-manifest`` (plus a fresh ``--out``) parses that command line again
 and reproduces the CSV outputs byte for byte.
 
@@ -62,13 +63,29 @@ def _argv(options: dict) -> list[str]:
     return argv
 
 
+def _input_sha256(options: dict) -> dict[str, str]:
+    """sha256 of each file other than the scenario that the options name: a
+    ``policy:<path>`` controller and heatmap's ``--trace``."""
+    controller, trace = options.get("controller", ""), options.get("trace")
+    paths = [controller.split(":", 1)[1]] if controller.startswith("policy:") else []
+    paths += [trace] if trace is not None else []
+    digests = {}
+    for path in paths:
+        try:
+            digests[path] = hashlib.sha256(FsPath(path).read_bytes()).hexdigest()
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from None
+    return digests
+
+
 def _write_manifest(out_dir: FsPath, options: dict, scenario: Scenario) -> None:
-    """Replay reads ``argv`` and ``scenario_sha256``; ``provenance`` only
-    records what wrote the manifest."""
+    """Replay reads ``argv``, ``scenario_sha256`` and ``input_sha256``;
+    ``provenance`` only records what wrote the manifest."""
     doc = {
         "format": "headwayctl-manifest",
         "argv": _argv(options),
         "scenario_sha256": _scenario_sha256(scenario),
+        "input_sha256": _input_sha256(options),
         "provenance": {
             "headwayctl": __version__, "python": platform.python_version(),
             "numpy": np.__version__, "platform": platform.platform(),
@@ -305,7 +322,8 @@ def _replay(parser: argparse.ArgumentParser, manifest: str, command: str, out: s
     """The options of a manifest's stored command line, run into ``out``. The
     line must be a ``command`` line that parses back to itself, so a replay
     meets every check the command line makes and no option takes a default
-    the run did not; and the scenario must still hash as recorded."""
+    the run did not; and the scenario and every other file the line names
+    must still hash as recorded."""
     try:
         doc = json.loads(FsPath(manifest).read_text())
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
@@ -331,6 +349,16 @@ def _replay(parser: argparse.ArgumentParser, manifest: str, command: str, out: s
         raise ConfigError(f"scenario {options['scenario']} has changed since the manifest was "
                           f"written (sha256 {sha256} != {doc.get('scenario_sha256')}); "
                           f"replay would not reproduce the run")
+    recorded = doc.get("input_sha256")
+    if not isinstance(recorded, dict):
+        raise ConfigError(f"manifest {manifest} has no input_sha256 record; manifests written "
+                          f"before the files a run reads were hashed cannot replay")
+    digests = _input_sha256(options)
+    changed = sorted(p for p in digests.keys() | recorded.keys()
+                     if digests.get(p) != recorded.get(p))
+    if changed:
+        raise ConfigError(f"{', '.join(changed)} changed since the manifest was "
+                          f"written; replay would not reproduce the run")
     return options
 
 

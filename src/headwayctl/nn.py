@@ -81,21 +81,20 @@ def gaussian_log_prob_grads(mean, log_std, x, dlogp):
 
 
 class Adam:
-    """Adam over a flat list of parameter arrays, updated in place."""
+    """Adam over one flat parameter vector, updated in place."""
 
-    def __init__(self, shapes, lr: float):
+    def __init__(self, size: int, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grads
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grads * grads
+        params -= self.lr * (self.m / b1t) / (np.sqrt(self.v / b2t) + ADAM_EPS)

@@ -53,7 +53,6 @@ class PolicyParams:
     log_std: np.ndarray
     beta_min_m: float
     beta_max_m: float
-    obs_version: int = OBS_SPEC_VERSION
 
     @classmethod
     def new(cls, obs_dim: int, n_links: int, rng, beta_min_m: float,
@@ -83,7 +82,7 @@ def policy_act(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
 def save_checkpoint(params: PolicyParams, path: str | FsPath) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
-        "obs_version": params.obs_version,
+        "obs_version": OBS_SPEC_VERSION,
         "beta_min_m": params.beta_min_m,
         "beta_max_m": params.beta_max_m,
         "layer_shapes": [list(W.shape) for W, _ in params.layers],
@@ -100,6 +99,10 @@ def load_checkpoint(path: str | FsPath) -> PolicyParams:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"not a policy checkpoint: {path}")
+    version = doc.get("obs_version", OBS_SPEC_VERSION)
+    if version != OBS_SPEC_VERSION:
+        raise CheckpointError(f"checkpoint observation spec version {version} "
+                              f"!= {OBS_SPEC_VERSION}: {path}")
     try:
         layers = [(np.array(l["w"], dtype=float), np.array(l["b"], dtype=float))
                   for l in doc["layers"]]
@@ -108,7 +111,6 @@ def load_checkpoint(path: str | FsPath) -> PolicyParams:
             log_std=np.array(doc["log_std"], dtype=float),
             beta_min_m=float(doc["beta_min_m"]),
             beta_max_m=float(doc["beta_max_m"]),
-            obs_version=int(doc.get("obs_version", OBS_SPEC_VERSION)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint: {path}: {exc}") from exc
@@ -120,8 +122,7 @@ def load_checkpoint(path: str | FsPath) -> PolicyParams:
 
 
 def _check_structure(params: PolicyParams, path) -> None:
-    """Layers chain, every parameter is finite, log_std matches the actions,
-    observation spec is current."""
+    """Layers chain, every parameter is finite, log_std matches the actions."""
     if not params.layers:
         raise CheckpointError(f"checkpoint has no layers: {path}")
     for i, (W, b) in enumerate(params.layers):
@@ -138,9 +139,6 @@ def _check_structure(params: PolicyParams, path) -> None:
     arrays = [a for layer in params.layers for a in layer] + [params.log_std]
     if not all(np.isfinite(a).all() for a in arrays):
         raise CheckpointError(f"checkpoint has a non-finite weight, bias or log_std: {path}")
-    if params.obs_version != OBS_SPEC_VERSION:
-        raise CheckpointError(f"checkpoint observation spec version {params.obs_version} "
-                              f"!= {OBS_SPEC_VERSION}: {path}")
 
 
 def make_controller(name: str, network: Network):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -69,6 +70,11 @@ class TrainConfig:
 
 @dataclass
 class ActorCritic:
+    """Policy and value networks over one parameter vector, ``params``: each
+    policy layer's W and b, the policy's log_std, then each value layer's W
+    and b. Every one of those arrays is a view of ``params``."""
+
+    params: np.ndarray
     policy: PolicyParams
     value_layers: list
 
@@ -77,17 +83,13 @@ class ActorCritic:
             rng) -> "ActorCritic":
         policy = PolicyParams.new(obs_dim, n_links, rng, beta_min_m=beta_min, beta_max_m=beta_max)
         value_layers = init_layers([obs_dim, *HIDDEN, 1], rng, out_scale=1.0)
-        return cls(policy=policy, value_layers=value_layers)
-
-    def param_list(self) -> list[np.ndarray]:
-        """Canonical flat ordering: policy layers, log_std, value layers."""
-        out = []
-        for W, b in self.policy.layers:
-            out.extend((W, b))
-        out.append(self.policy.log_std)
-        for W, b in self.value_layers:
-            out.extend((W, b))
-        return out
+        arrays = [*chain(*policy.layers), policy.log_std, *chain(*value_layers)]
+        params = np.concatenate([a.ravel() for a in arrays])
+        views = [part.reshape(a.shape) for a, part in
+                 zip(arrays, np.split(params, np.cumsum([a.size for a in arrays])[:-1]))]
+        n = 2 * len(policy.layers)
+        policy.layers, policy.log_std = list(zip(views[:n:2], views[1:n:2])), views[n]
+        return cls(params, policy, list(zip(views[n + 1::2], views[n + 2::2])))
 
     def value(self, obs_batch: np.ndarray) -> np.ndarray:
         v, _ = mlp_forward(self.value_layers, obs_batch)
@@ -143,7 +145,7 @@ class _ReturnNormalizer:
 def loss_and_grads(ac: ActorCritic, obs, actions_u, log_probs_old, advantages, returns):
     """PPO loss on one minibatch and its exact gradients.
 
-    Returns (loss, grads aligned with ac.param_list(), stats dict).
+    Returns (loss, its gradient as one vector aligned with ``ac.params``, stats).
     """
     B = obs.shape[0]
     mean, pol_caches = mlp_forward(ac.policy.layers, obs)
@@ -173,12 +175,8 @@ def loss_and_grads(ac: ActorCritic, obs, actions_u, log_probs_old, advantages, r
     dv = (VALUE_COEF * 2.0 / B) * value_err
     val_grads = mlp_backward(ac.value_layers, val_caches, dv[:, None])
 
-    grads: list[np.ndarray] = []
-    for gW, gb in pol_grads:
-        grads.extend((gW, gb))
-    grads.append(dlog_std)
-    for gW, gb in val_grads:
-        grads.extend((gW, gb))
+    grads = np.concatenate([g.ravel() for g in
+                            (*chain(*pol_grads), dlog_std, *chain(*val_grads))])
 
     stats = {
         "policy_loss": float(policy_loss),
@@ -199,7 +197,6 @@ def ppo_update(ac: ActorCritic, batch, adam: Adam, rng) -> dict:
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     agg = {"policy_loss": 0.0, "value_loss": 0.0, "clip_fraction": 0.0}
     batches = 0
-    params = ac.param_list()
     for _ in range(TrainConfig.n_epochs):
         order = rng.permutation(N)
         for start in range(0, N, TrainConfig.batch_size):
@@ -208,7 +205,7 @@ def ppo_update(ac: ActorCritic, batch, adam: Adam, rng) -> dict:
                                                 adv[idx], returns[idx])
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite PPO loss: {loss}")
-            adam.step(params, grads)
+            adam.step(ac.params, grads)
             np.clip(ac.policy.log_std, LOG_STD_MIN, LOG_STD_MAX, out=ac.policy.log_std)
             for key in agg:
                 agg[key] += stats[key]
@@ -250,7 +247,7 @@ def train(scenario: Scenario, config: TrainConfig = TrainConfig()):
 
     obs_now = np.stack([env.reset(next_episode_seed()) for env in envs])
     normalizer = _ReturnNormalizer(config.n_envs)
-    adam = Adam([p.shape for p in ac.param_list()], lr=LEARNING_RATE)
+    adam = Adam(ac.params.size, lr=LEARNING_RATE)
     best_ttt = math.inf
 
     E, S, D, A = config.n_envs, steps_per_env, obs_dim, net.n_links

@@ -8,7 +8,8 @@ breakpoints), ``control`` (headway bounds and action cadence) and ``sim``
 from the episode seed, so a scenario holds none; keys the format does not
 name, such as the ``sim.seed`` of older files, are ignored. Any bad
 scenario, from an unreadable file to an origin with no path to its
-destination, raises ``ConfigError`` when it is loaded or built.
+destination or finite values whose step would overflow, raises
+``ConfigError`` when it is loaded or built.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
+import numpy as np
+
+from .fundamental import LATENCY_CAP_S
 from .network import ConfigError, DemandProfile, Link, Network, ODPair
 
 # Share of the built-in scenarios' demand that is autonomous.
@@ -129,6 +133,44 @@ class Scenario:
             if count * (1.0 + self.sim.initial_jitter) / link.length_m > link.jam_density:
                 raise ConfigError(f"initial count on link {link_id}, jittered up by "
                                   f"{self.sim.initial_jitter}, exceeds jam density")
+        for name, value in _step_bounds(self).items():
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{name} is not finite: {value}")
+
+
+def _step_bounds(scenario: Scenario) -> dict:
+    """The largest values an episode's step can compute, by name.
+
+    Each field is finite on its own, but the step multiplies them; if one of
+    these overflows, an episode would fail mid-run instead of at load. The
+    diagram's branches are evaluated on every link at every density up to
+    jam density, with the critical density between the maximum and the
+    minimum headway's. On a congested link the density falls short of jam
+    by zero or at least one rounding step, ``eps / 4`` of jam density, so a
+    positive flow is at least ``eps / 4`` of capacity. A link's latency is at
+    most its free-flow time or the cap. The TTT bound counts every link full
+    and all demand queued, on every step.
+    """
+    net, sim = scenario.network, scenario.sim
+    v, n_jam, length = net.speed_mps, net.jam_density, net.length_m
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n_c_max, n_c_min = net.lanes / net.beta_min_m, net.lanes / net.beta_max_m
+        jam_counts = n_jam * length
+        link_s = np.maximum(length / v, LATENCY_CAP_S).tolist()
+        path_s = max(sum(link_s[l] for l in path) for path in net.paths)
+        volume = scenario.demand.peak_rate * sim.horizon_s
+        return {
+            "jam count": jam_counts,
+            "capacity at the minimum headway over one step": v * n_c_max * sim.dt_s,
+            "free-flow branch at jam density": v * n_jam,
+            "congested branch at zero density": v * n_c_max * n_jam / (n_jam - n_c_max),
+            "congested latency at the least positive flow":
+                length * n_jam / (v * n_c_min * (np.finfo(float).eps / 4)),
+            "route-choice exponent of the slowest path":
+                max(sim.mu_h, sim.mu_a) * (path_s / sim.latency_unit_s),
+            "total demand volume": volume,
+            "TTT bound": sim.n_steps * (jam_counts.sum() + volume) * max(sim.reward_scale, 1.0),
+        }
 
 
 def _braess_scenario(edges) -> Scenario:

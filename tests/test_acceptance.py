@@ -199,33 +199,25 @@ def test_criterion_6_training_efficacy():
 
 
 def test_criterion_7_gradient_check():
-    from tests.test_ppo import flatten_arrays, small_instance, unflatten_like
+    from tests.test_ppo import small_instance
 
     start = time.time()
     worst = 0.0
     for seed in range(20):
         ac, obs, u, logp_old, adv, ret = small_instance(seed)
-        params = ac.param_list()
         _, grads, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret)
-        flat_g = flatten_arrays(grads)
-        base = flatten_arrays(params)
+        base = ac.params.copy()
         rng = np.random.default_rng(seed + 500)
         idxs = rng.choice(base.size, size=min(40, base.size), replace=False)
         h_step = 1e-5
         for i in idxs:
-            probe = base.copy()
-            probe[i] += h_step
-            for dst, src in zip(params, unflatten_like(probe, params)):
-                dst[...] = src
+            ac.params[i] += h_step
             plus, _, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret)
-            probe[i] -= 2 * h_step
-            for dst, src in zip(params, unflatten_like(probe, params)):
-                dst[...] = src
+            ac.params[i] -= 2 * h_step
             minus, _, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret)
-            for dst, src in zip(params, unflatten_like(base, params)):
-                dst[...] = src
+            ac.params[:] = base
             fd = (plus - minus) / (2 * h_step)
-            worst = max(worst, abs(fd - flat_g[i]) / max(abs(fd), abs(flat_g[i]), 1e-6))
+            worst = max(worst, abs(fd - grads[i]) / max(abs(fd), abs(grads[i]), 1e-6))
     elapsed = time.time() - start
     ok = worst <= 1e-4 and elapsed < 10.0
     report(7, "analytic vs central-difference gradients (20 instances)",

@@ -10,12 +10,13 @@ for refactors that reorder float sums on purpose (and must say so).
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from headwayctl.engine import run_episode
 from headwayctl.harness import EXIT_OK, main
 from headwayctl.policies import make_controller
-from headwayctl.ppo import TrainConfig, train
+from headwayctl.ppo import TrainConfig, evaluate_policy, train
 from headwayctl.scenario import load_scenario
 
 TTT_RTOL = 1e-12
@@ -80,9 +81,25 @@ def test_trace_csv_bytes(tmp_path):
     assert digest == TRACE_SHA256
 
 
-def test_learning_curve():
-    _, curve = train(load_scenario("braess5"), CURVE_CONFIG)
+@pytest.fixture(scope="module")
+def trained():
+    scenario = load_scenario("braess5")
+    return scenario, *train(scenario, CURVE_CONFIG)
+
+
+def test_learning_curve(trained):
+    _, _, curve = trained
     assert len(curve) == len(CURVE)
     for row, want in zip(curve, CURVE):
         got = tuple(row[k] for k in CURVE_KEYS)
         assert got == pytest.approx(want, rel=CURVE_RTOL, abs=0.0), row["update_index"]
+
+
+def test_train_returns_the_best_policy_not_the_last(trained):
+    # The first of the three updates evaluates best, so parameters that still
+    # shared memory with the trainer's would evaluate as the last update did.
+    scenario, params, curve = trained
+    evals = [row["mean_eval_ttt"] for row in curve]
+    assert evals.index(min(evals)) == 0 and evals[0] < evals[-1]
+    ttts = evaluate_policy(scenario, params, TrainConfig.eval_seeds)
+    assert float(np.mean(ttts)) == curve[-1]["best_eval_ttt"]

@@ -163,6 +163,7 @@ class TestManifestReplay:
         assert doc["argv"] == ["simulate", f"--scenario={short_scenario}", "--seed=0",
                                "--controller=uniform"]
         assert len(doc["scenario_sha256"]) == 64
+        assert doc["input_sha256"] == {}  # uniform reads no file besides the scenario
         assert set(doc["provenance"]) == {"headwayctl", "python", "numpy", "platform",
                                           "written_utc"}
 
@@ -572,6 +573,23 @@ class TestFailFastScenario:
         self.assert_rejected(tmp_path, edit, "exceeds jam density")
 
 
+    @pytest.mark.parametrize("edit, match", [
+        # Each of these ran until the step overflowed: a non-finite state at
+        # step 17, a route choice refusing an infinite latency, and an
+        # infinite TTT with exit code 0.
+        (lambda doc: [doc["demand"]["breakpoints"][k].__setitem__(1, 1e306) for k in (1, 2)],
+         "total demand volume"),
+        (lambda doc: doc["network"]["links"][4].update(length_m=240_000.0, vff_mps=1e-303),
+         "latency"),
+        (lambda doc: doc["sim"].update(reward_scale=1e308), "TTT bound"),
+    ], ids=["demand-rates", "slow-link", "reward-scale"])
+    def test_finite_values_whose_step_overflows(self, tmp_path, edit, match):
+        def full_horizon(doc):
+            doc["sim"]["horizon_s"] = 12_000.0
+            edit(doc)
+        self.assert_rejected(tmp_path, full_horizon, match)
+
+
 class TestCheckpointValidation:
     """Structurally bad checkpoints exit with code 3 before any episode."""
 
@@ -754,3 +772,64 @@ class TestHonestReplay:
     def test_manifest_without_argv_exit_2(self, tmp_path, edit):
         # Manifests written before the command line was stored have no argv.
         self.assert_replay_refused(tmp_path, "simulate", edit)
+
+
+class TestReplayedInputFiles:
+    """A manifest records the sha256 of each file its command line names, and
+    replay refuses, before ``--out`` exists, a run whose files changed."""
+
+    def test_overwritten_checkpoint_refuses_replay(self, short_scenario, tmp_path):
+        ck, ev1 = tmp_path / "ck", tmp_path / "ev1"
+        train = ["train", "--scenario", short_scenario, "--budget", "0", "--out", str(ck)]
+        assert main([*train, "--seed", "0"]) == EXIT_OK
+        assert main(["evaluate", "--scenario", short_scenario, "--out", str(ev1),
+                     "--controller", f"policy:{ck / 'checkpoint.json'}"]) == EXIT_OK
+        doc = json.loads((ev1 / "manifest.json").read_text())
+        assert list(doc["input_sha256"]) == [str(ck / "checkpoint.json")]
+        replay = ["evaluate", "--from-manifest", str(ev1 / "manifest.json")]
+        assert main([*replay, "--out", str(tmp_path / "same")]) == EXIT_OK
+        assert read_bytes_of_csvs(tmp_path / "same") == read_bytes_of_csvs(ev1)
+
+        assert main([*train, "--seed", "1"]) == EXIT_OK  # a different checkpoint, same path
+        assert main([*replay, "--out", str(tmp_path / "ev2")]) == EXIT_USAGE
+        assert not (tmp_path / "ev2").exists()
+        (ck / "checkpoint.json").unlink()
+        assert main([*replay, "--out", str(tmp_path / "ev3")]) == EXIT_USAGE
+        assert not (tmp_path / "ev3").exists()
+
+    def test_changed_trace_refuses_replay(self, short_scenario, tmp_path):
+        run, hm = tmp_path / "run", tmp_path / "hm"
+        assert main(["simulate", "--scenario", short_scenario, "--out", str(run)]) == EXIT_OK
+        trace = run / "trace_seed0.csv"
+        assert main(["heatmap", "--scenario", short_scenario, "--trace", str(trace),
+                     "--out", str(hm)]) == EXIT_OK
+        replay = ["heatmap", "--from-manifest", str(hm / "manifest.json")]
+        assert main([*replay, "--out", str(tmp_path / "same")]) == EXIT_OK
+        assert ((tmp_path / "same" / "heatmap.svg").read_bytes()
+                == (hm / "heatmap.svg").read_bytes())
+
+        assert main(["simulate", "--scenario", short_scenario, "--controller", "min",
+                     "--out", str(run)]) == EXIT_OK  # a different trace, same path
+        assert main([*replay, "--out", str(tmp_path / "again")]) == EXIT_USAGE
+        assert not (tmp_path / "again").exists()
+        trace.unlink()
+        assert main([*replay, "--out", str(tmp_path / "gone")]) == EXIT_USAGE
+        assert not (tmp_path / "gone").exists()
+
+    @pytest.mark.parametrize("record", [KeyError, None, [], "0" * 64],
+                             ids=["missing", "null", "list", "string"])
+    def test_manifest_without_the_record_exit_2(self, short_scenario, tmp_path, record):
+        # Manifests written before the files a run reads were hashed have none.
+        first = tmp_path / "first"
+        assert main(["simulate", "--scenario", short_scenario, "--out", str(first)]) == EXIT_OK
+        manifest = first / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        if record is KeyError:
+            del doc["input_sha256"]
+        else:
+            doc["input_sha256"] = record
+        manifest.write_text(json.dumps(doc))
+        again = tmp_path / "again"
+        assert main(["simulate", "--from-manifest", str(manifest),
+                     "--out", str(again)]) == EXIT_USAGE
+        assert not again.exists()

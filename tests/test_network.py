@@ -1,5 +1,6 @@
 """Network construction, derived paths, demand profiles, scenario IO."""
 
+import copy
 import json
 from dataclasses import replace
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from headwayctl.engine import run_episode
 from headwayctl.network import ConfigError, DemandProfile, Link, Network, ODPair, demand_at
+from headwayctl.policies import make_controller
 from headwayctl.scenario import (
     braess5_scenario,
     braess8_scenario,
@@ -278,3 +281,59 @@ def test_critical_below_jam_for_all_actions():
         alpha = rng.uniform(0.0, 1.0)
         nc = critical_density(net.lanes, alpha, beta_a, net.beta_h_m)
         assert np.all(nc < net.jam_density)
+
+
+def document_paths(node, at=()):
+    """Every key and list index path in a JSON document, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    paths = []
+    for key, child in items:
+        paths.append((*at, key))
+        if isinstance(child, (dict, list)):
+            paths += document_paths(child, (*at, key))
+    return paths
+
+
+DELETE = object()
+# Finite floats far from the built-in scenarios' magnitudes, either sign.
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([1.7976931348623157e308, 1e308, 1e306, 1e300, 1e154, 2.2250738585072014e-308,
+                     5e-324, 1e-300, 1e-303]),
+    st.floats(1e100, 1.7976931348623157e308), st.floats(5e-324, 1e-100),
+)
+REPLACEMENTS = st.one_of(
+    EXTREME_FLOATS, EXTREME_FLOATS.map(lambda x: -x),
+    st.sampled_from([0.0, 0, float("nan"), DELETE]),
+    st.sampled_from(["x", None, True, [], {}, [1.0, 2.0]]).map(copy.deepcopy),
+)
+
+
+def short_braess5_document(horizon_s):
+    sc = braess5_scenario()
+    return scenario_to_dict(replace(sc, sim=replace(sc.sim, horizon_s=horizon_s)))
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_scenario_fails_at_load_or_runs_a_finite_episode(data):
+    """One or two values of a short braess5 document replaced by an extreme,
+    zero, NaN or wrongly typed value, or deleted: the document either raises
+    ConfigError when it loads, or runs a uniform episode to a finite TTT with
+    no exception and no overflow warning (the test run makes warnings errors)."""
+    doc = short_braess5_document(data.draw(st.sampled_from([60.0, 600.0, 1800.0]), "horizon"))
+    for _ in range(data.draw(st.integers(1, 2), "edits")):
+        *parents, key = data.draw(st.sampled_from(document_paths(doc)), "path")
+        owner = doc
+        for part in parents:
+            owner = owner[part]
+        value = data.draw(REPLACEMENTS, "value")
+        if value is DELETE:
+            del owner[key]
+        else:
+            owner[key] = value
+    try:
+        scenario = scenario_from_dict(doc)
+    except ConfigError:
+        return
+    trace = run_episode(scenario, make_controller("uniform", scenario.network), 0)
+    assert np.isfinite(trace.ttt) and np.isfinite(trace.total_exited)

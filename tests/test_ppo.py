@@ -1,6 +1,7 @@
 """Trainer internals: MLP gradients, GAE, the clipped surrogate, determinism."""
 
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -25,21 +26,6 @@ from headwayctl.ppo import (
 )
 from headwayctl.scenario import braess5_scenario
 from tests.test_engine import single_link_scenario
-
-
-def flatten_arrays(arrays) -> np.ndarray:
-    """One vector of every array's entries, in order: finite differences probe it."""
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def unflatten_like(vector: np.ndarray, arrays) -> list[np.ndarray]:
-    """Split ``vector`` back into arrays shaped like ``arrays``."""
-    out = []
-    i = 0
-    for a in arrays:
-        out.append(vector[i:i + a.size].reshape(a.shape))
-        i += a.size
-    return out
 
 
 class TestMLP:
@@ -68,25 +54,25 @@ class TestMLP:
         x = rng.normal(size=(4, 3))
         dout = rng.normal(size=(4, 2))
 
-        def objective(flat):
-            restored = unflatten_like(flat, [a for Wb in layers for a in Wb])
-            ls = [(restored[2 * i], restored[2 * i + 1]) for i in range(len(layers))]
-            out, _ = mlp_forward(ls, x)
+        def objective():
+            out, _ = mlp_forward(layers, x)
             return float((out * dout).sum())
 
         _, caches = mlp_forward(layers, x)
         grads = mlp_backward(layers, caches, dout)
-        flat_g = flatten_arrays([a for Wb in grads for a in Wb])
-        flat_p = flatten_arrays([a for Wb in layers for a in Wb])
         h = 1e-6
-        for i in range(0, flat_p.size, 7):
-            probe = flat_p.copy()
-            probe[i] += h
-            plus = objective(probe)
-            probe[i] -= 2 * h
-            minus = objective(probe)
-            fd = (plus - minus) / (2 * h)
-            assert flat_g[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        # Every seventh entry of each weight and bias, perturbed in place.
+        for param, grad in zip(chain(*layers), chain(*grads)):
+            for i in range(0, param.size, 7):
+                at = np.unravel_index(i, param.shape)
+                base = param[at]
+                param[at] = base + h
+                plus = objective()
+                param[at] = base - h
+                minus = objective()
+                param[at] = base
+                fd = (plus - minus) / (2 * h)
+                assert grad[at] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 class TestGaussianLogProb:
@@ -196,11 +182,9 @@ class TestClippedSurrogate:
         dlogp = -adv / B
         dmean, dlog_std = gaussian_log_prob_grads(mean, ac.policy.log_std, u, dlogp)
         ref = mlp_backward(ac.policy.layers, caches, dmean)
-        n_pol = 2 * len(ref)
-        flat_ppo = flatten_arrays(grads[:n_pol])
-        flat_ref = flatten_arrays([a for Wb in ref for a in Wb])
-        assert np.allclose(flat_ppo, flat_ref, rtol=1e-10, atol=1e-12)
-        assert np.allclose(grads[n_pol], dlog_std, rtol=1e-10, atol=1e-12)
+        # ac.params starts with the policy layers, then log_std.
+        flat_ref = np.concatenate([g.ravel() for g in chain(*ref)] + [dlog_std])
+        assert np.allclose(grads[:flat_ref.size], flat_ref, rtol=1e-10, atol=1e-12)
 
 
 class TestGradientOracle:
@@ -210,32 +194,25 @@ class TestGradientOracle:
         worst = 0.0
         for seed in range(20):
             ac, obs, u, logp_old, adv, ret = small_instance(seed)
-            params = ac.param_list()
-            loss, grads, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret)
-            flat_g = flatten_arrays(grads)
-            flat_p = flatten_arrays(params)
+            _, grads, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret)
 
-            def loss_at(vec):
-                restored = unflatten_like(vec, params)
-                for dst, src in zip(params, restored):
-                    dst[...] = src
+            def loss_now():
                 value, _, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret)
                 return value
 
             h = 1e-5
             rng = np.random.default_rng(seed + 1000)
-            idxs = rng.choice(flat_p.size, size=min(60, flat_p.size), replace=False)
-            base = flat_p.copy()
+            idxs = rng.choice(ac.params.size, size=min(60, ac.params.size), replace=False)
+            base = ac.params.copy()
             for i in idxs:
-                probe = base.copy()
-                probe[i] += h
-                plus = loss_at(probe)
-                probe[i] -= 2 * h
-                minus = loss_at(probe)
+                ac.params[i] += h
+                plus = loss_now()
+                ac.params[i] -= 2 * h
+                minus = loss_now()
+                ac.params[:] = base
                 fd = (plus - minus) / (2 * h)
-                scale = max(abs(fd), abs(flat_g[i]), 1e-6)
-                worst = max(worst, abs(fd - flat_g[i]) / scale)
-            loss_at(base)  # restore
+                scale = max(abs(fd), abs(grads[i]), 1e-6)
+                worst = max(worst, abs(fd - grads[i]) / scale)
         assert worst <= 1e-4
 
 
@@ -313,7 +290,7 @@ class TestTrainLoop:
 class TestAdam:
     def test_converges_on_quadratic(self):
         x = np.array([5.0, -3.0])
-        opt = Adam([x.shape], lr=0.1)
+        opt = Adam(x.size, lr=0.1)
         for _ in range(500):
-            opt.step([x], [2.0 * x])
+            opt.step(x, 2.0 * x)
         assert np.allclose(x, 0.0, atol=1e-3)

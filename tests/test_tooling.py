@@ -6,7 +6,7 @@ so a refactor that renames or deletes one of those names fails here, not
 only in a traced benchmark run. ``perfbench/workloads.py`` reads training
 values off ``TrainConfig()`` and network and env values in its exact-count
 checks; tests evaluate those checks against an empty report and against one
-traced call of each episode workload, whose counts must match. Another test
+traced call of each workload, whose counts must match. Another test
 pins every value the program lets a caller set, so that a new knob fails by
 name. The last one checks that the repo's pytest settings report a failing
 Hypothesis test as a failure and go on to the next test.
@@ -102,10 +102,11 @@ def test_workload_count_checks_find_every_name(tmp_path):
 
 
 def test_one_traced_call_meets_the_exact_counts(tmp_path):
-    """One traced call of each episode workload gives its reference outputs
-    and every exact span count the benchmark checks."""
+    """One traced call of each workload gives its reference outputs (the train
+    workload's learning curve among them) and every exact span count the
+    benchmark checks."""
     tracer, workloads = load_tracer(), load_module(WORKLOADS)
-    for name in ("simulate-braess8", "evaluate-braess5"):
+    for name in workloads.WORKLOADS:
         workload = workloads.make(name, 0, tmp_path / name)
         workload.setup()
         with tracer.Tracer() as traced:
@@ -119,7 +120,6 @@ def test_one_traced_call_meets_the_exact_counts(tmp_path):
 SETTABLE_VALUES = [
     "harness.main.argv",
     "nn.init_layers.out_scale",
-    "policies.PolicyParams.obs_version",
     "ppo.TrainConfig.total_steps",
     "ppo.TrainConfig.seed",
     "ppo.TrainConfig.n_steps",
