@@ -100,19 +100,18 @@ def load_checkpoint(path: str | FsPath) -> PolicyParams:
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"not a policy checkpoint: {path}")
     version = doc.get("obs_version", OBS_SPEC_VERSION)
-    if version != OBS_SPEC_VERSION:
-        raise CheckpointError(f"checkpoint observation spec version {version} "
+    if type(version) is not int or version != OBS_SPEC_VERSION:
+        raise CheckpointError(f"checkpoint observation spec version {version!r} "
                               f"!= {OBS_SPEC_VERSION}: {path}")
     try:
-        layers = [(np.array(l["w"], dtype=float), np.array(l["b"], dtype=float))
-                  for l in doc["layers"]]
         params = PolicyParams(
-            layers=layers,
-            log_std=np.array(doc["log_std"], dtype=float),
-            beta_min_m=float(doc["beta_min_m"]),
-            beta_max_m=float(doc["beta_max_m"]),
+            layers=[(_numbers(l["w"], 2, f"layer {i} weights"),
+                     _numbers(l["b"], 1, f"layer {i} bias")) for i, l in enumerate(doc["layers"])],
+            log_std=_numbers(doc["log_std"], 1, "log_std"),
+            beta_min_m=float(_numbers(doc["beta_min_m"], 0, "beta_min_m")),
+            beta_max_m=float(_numbers(doc["beta_max_m"], 0, "beta_max_m")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"malformed checkpoint: {path}: {exc}") from exc
     shapes = [list(W.shape) for W, _ in params.layers]
     if shapes != doc.get("layer_shapes", shapes):
@@ -121,12 +120,22 @@ def load_checkpoint(path: str | FsPath) -> PolicyParams:
     return params
 
 
+def _numbers(value, ndim: int, name: str) -> np.ndarray:
+    """A JSON number (``ndim`` 0) or an ``ndim``-D list of them, as floats; a
+    bool, a string, a ragged list or another depth raises."""
+    leaves = np.array(value, dtype=object)
+    if leaves.ndim != ndim or not all(type(x) in (int, float) for x in leaves.flat):
+        want = f"a {ndim}-D list of numbers" if ndim else "a number"
+        raise TypeError(f"{name} must be {want}, got {value!r:.60}")
+    return np.array(value, dtype=float)
+
+
 def _check_structure(params: PolicyParams, path) -> None:
     """Layers chain, every parameter is finite, log_std matches the actions."""
     if not params.layers:
         raise CheckpointError(f"checkpoint has no layers: {path}")
     for i, (W, b) in enumerate(params.layers):
-        if W.ndim != 2 or b.shape != (W.shape[1],):
+        if b.shape != (W.shape[1],):
             raise CheckpointError(
                 f"checkpoint layer {i}: weights {W.shape} and bias {b.shape} do not match: {path}")
         if i and W.shape[0] != params.layers[i - 1][0].shape[1]:

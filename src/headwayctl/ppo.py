@@ -66,6 +66,9 @@ class TrainConfig:
             raise ConfigError("batch_size must divide n_steps")
         if self.n_steps % self.n_envs != 0:
             raise ConfigError("n_envs must divide n_steps")
+        if self.total_steps % self.n_steps != 0:
+            raise ConfigError(f"the budget of {self.total_steps} decision steps is not a whole "
+                              f"number of {self.n_steps}-step updates")
 
 
 @dataclass

@@ -4,11 +4,12 @@ the built-in Braess scenarios braess5 and braess8.
 The on-disk format has five sections: ``network`` (links array), ``od``
 (single origin/destination plus autonomy split), ``demand`` (piecewise-linear
 breakpoints), ``control`` (headway bounds and action cadence) and ``sim``
-(step sizes, initial loading, rationality factors). Every random draw comes
-from the episode seed, so a scenario holds none; keys the format does not
-name, such as the ``sim.seed`` of older files, are ignored. Any bad
-scenario, from an unreadable file to an origin with no path to its
-destination or finite values whose step would overflow, raises
+(step sizes, initial loading, rationality factors). One table of fields
+drives both the writer and the reader. Every random draw comes from the
+episode seed, so a scenario holds none; keys the format does not name, such
+as the ``sim.seed`` of older files, are ignored. Any bad scenario, from an
+unreadable file or a value of the wrong JSON type to an origin with no path
+to its destination or finite values whose step would overflow, raises
 ``ConfigError`` when it is loaded or built.
 """
 
@@ -214,50 +215,82 @@ BUILTIN_SCENARIOS = {
 }
 
 
+def _integer(value, name: str) -> int:
+    """A whole number, refusing what ``int()`` would silently truncate."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    """A JSON number: an int or a float, not a bool or a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _name(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _breakpoints(value, name: str) -> tuple:
+    return tuple((_real(t, name), _real(r, name)) for t, r in value)
+
+
+def _counts(value, name: str) -> dict:
+    return {int(k): _real(v, f"{name}.{k}") for k, v in value.items()}
+
+
+# The format's fields in file order: (section, key, owner, attribute, parser,
+# optional). The owner "od" is the network's O/D pair, "demand" the
+# DemandProfile, "network" the Network and "sim" the SimConfig. An optional
+# key may be absent and then takes SimConfig's default.
+_FIELDS = (
+    ("od", "origin", "od", "origin", _name, False),
+    ("od", "destination", "od", "destination", _name, False),
+    ("od", "autonomy_fraction", "demand", "autonomy_fraction", _real, False),
+    ("demand", "breakpoints", "demand", "breakpoints", _breakpoints, False),
+    ("control", "beta_min_m", "network", "beta_min_m", _real, False),
+    ("control", "beta_max_m", "network", "beta_max_m", _real, False),
+    ("control", "beta_h_m", "network", "beta_h_m", _real, False),
+    ("control", "action_period_s", "sim", "action_period_s", _real, False),
+    ("sim", "dt_s", "sim", "dt_s", _real, False),
+    ("sim", "horizon_s", "sim", "horizon_s", _real, False),
+    ("sim", "initial_counts", "sim", "initial_counts", _counts, True),
+    ("sim", "mu_h", "sim", "mu_h", _real, False),
+    ("sim", "mu_a", "sim", "mu_a", _real, False),
+    ("sim", "initial_jitter", "sim", "initial_jitter", _real, True),
+    ("sim", "latency_unit_s", "sim", "latency_unit_s", _real, True),
+    ("sim", "reward_scale", "sim", "reward_scale", _real, True),
+)
+# Each entry of ``network.links``: (key, Link attribute, parser).
+_LINK_FIELDS = (
+    ("id", "id", _integer),
+    ("from", "from_node", _name),
+    ("to", "to_node", _name),
+    ("length_m", "length_m", _real),
+    ("lanes", "lanes", _integer),
+    ("vff_mps", "free_flow_speed_mps", _real),
+    ("jam_spacing_m", "jam_spacing_m", _real),
+)
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """The JSON document of a scenario; the format holds one O/D pair."""
-    net = scenario.network
-    od = net.od_pairs[0]
-    demand = scenario.demand
-    sim = scenario.sim
-    return {
-        "network": {
-            "links": [
-                {
-                    "id": l.id,
-                    "from": l.from_node,
-                    "to": l.to_node,
-                    "length_m": l.length_m,
-                    "lanes": l.lanes,
-                    "vff_mps": l.free_flow_speed_mps,
-                    "jam_spacing_m": l.jam_spacing_m,
-                }
-                for l in net.links
-            ]
-        },
-        "od": {
-            "origin": od.origin,
-            "destination": od.destination,
-            "autonomy_fraction": demand.autonomy_fraction,
-        },
-        "demand": {"breakpoints": [[t, r] for t, r in demand.breakpoints]},
-        "control": {
-            "beta_min_m": net.beta_min_m,
-            "beta_max_m": net.beta_max_m,
-            "beta_h_m": net.beta_h_m,
-            "action_period_s": sim.action_period_s,
-        },
-        "sim": {
-            "dt_s": sim.dt_s,
-            "horizon_s": sim.horizon_s,
-            "initial_counts": {str(k): v for k, v in sim.initial_counts.items()},
-            "mu_h": sim.mu_h,
-            "mu_a": sim.mu_a,
-            "initial_jitter": sim.initial_jitter,
-            "latency_unit_s": sim.latency_unit_s,
-            "reward_scale": sim.reward_scale,
-        },
-    }
+    """The JSON document of a scenario: every row of the field tables."""
+    net, sim = scenario.network, scenario.sim
+    owners = {"od": net.od_pairs[0], "demand": scenario.demand, "network": net, "sim": sim}
+    links = [{key: getattr(link, attribute) for key, attribute, _ in _LINK_FIELDS}
+             for link in net.links]
+    doc = {"network": {"links": links}}
+    for section, key, owner, attribute, *_ in _FIELDS:
+        doc.setdefault(section, {})[key] = getattr(owners[owner], attribute)
+    # JSON has neither tuples nor integer keys; a rewritten key keeps its place.
+    doc["demand"]["breakpoints"] = [list(knot) for knot in scenario.demand.breakpoints]
+    doc["sim"]["initial_counts"] = {str(k): v for k, v in sim.initial_counts.items()}
+    return doc
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -270,54 +303,16 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ConfigError(f"malformed scenario document: {exc}") from exc
 
 
-def _integer(value, name: str) -> int:
-    """A whole number, refusing what ``int()`` would silently truncate."""
-    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not whole:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _scenario_from_dict(data: dict) -> Scenario:
-    links = tuple(
-        Link(
-            id=_integer(entry["id"], "link id"),
-            from_node=str(entry["from"]),
-            to_node=str(entry["to"]),
-            length_m=float(entry["length_m"]),
-            lanes=_integer(entry["lanes"], f"link {entry['id']} lanes"),
-            free_flow_speed_mps=float(entry["vff_mps"]),
-            jam_spacing_m=float(entry["jam_spacing_m"]),
-        )
-        for entry in data["network"]["links"]
-    )
-    od_section = data["od"]
-    control = data["control"]
-    sim_section = data["sim"]
-    demand = DemandProfile(
-        breakpoints=tuple((float(t), float(r)) for t, r in data["demand"]["breakpoints"]),
-        autonomy_fraction=float(od_section["autonomy_fraction"]),
-    )
-    network = Network(
-        links=links,
-        od_pairs=(ODPair(str(od_section["origin"]), str(od_section["destination"])),),
-        beta_min_m=float(control["beta_min_m"]),
-        beta_max_m=float(control["beta_max_m"]),
-        beta_h_m=float(control["beta_h_m"]),
-    )
-    # Optional keys a document leaves out take SimConfig's defaults.
-    optional = {k: float(sim_section[k]) for k in ("initial_jitter", "latency_unit_s",
-                                                    "reward_scale") if k in sim_section}
-    sim = SimConfig(
-        dt_s=float(sim_section["dt_s"]),
-        horizon_s=float(sim_section["horizon_s"]),
-        action_period_s=float(control["action_period_s"]),
-        initial_counts={int(k): float(v) for k, v in sim_section.get("initial_counts", {}).items()},
-        mu_h=float(sim_section["mu_h"]),
-        mu_a=float(sim_section["mu_a"]),
-        **optional,
-    )
-    return Scenario(network=network, demand=demand, sim=sim)
+    links = tuple(Link(**{attribute: parser(entry[key], f"link {i} {key}")
+                          for key, attribute, parser in _LINK_FIELDS})
+                  for i, entry in enumerate(data["network"]["links"]))
+    values = {"od": {}, "demand": {}, "network": {}, "sim": {}}
+    for section, key, owner, attribute, parser, optional in _FIELDS:
+        if key in data[section] or not optional:
+            values[owner][attribute] = parser(data[section][key], f"{section}.{key}")
+    network = Network(links=links, od_pairs=(ODPair(**values["od"]),), **values["network"])
+    return Scenario(network, DemandProfile(**values["demand"]), SimConfig(**values["sim"]))
 
 
 def save_scenario(scenario: Scenario, path: str | FsPath) -> None:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headwayctl.harness import EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, main
 from headwayctl.policies import (
@@ -256,10 +258,11 @@ class TestSweeps:
     @pytest.mark.parametrize("argv, code", [
         (["sweep-mu", "--mu", "0.1,-1", "--seed", "0,1,2,3"], EXIT_USAGE),
         (["sweep-mu", "--mu", "0.1", "--budget", "128", "--n-steps", "100"], EXIT_USAGE),
+        (["sweep-mu", "--mu", "0.1", "--budget", "1000"], EXIT_USAGE),
         (["sweep-mu", "--mu", "0.1", "--controller", "policy:{missing}"], EXIT_CHECKPOINT),
         (["sweep-alpha", "--alpha", "0.5", "--controller", "policy:{missing}"],
          EXIT_CHECKPOINT),
-    ], ids=["bad-mu", "bad-train-config", "mu-missing-checkpoint",
+    ], ids=["bad-mu", "bad-train-config", "budget-not-whole-updates", "mu-missing-checkpoint",
             "alpha-missing-checkpoint"])
     def test_bad_input_fails_before_any_run(self, short_scenario, tmp_path, argv, code,
                                             monkeypatch):
@@ -403,6 +406,8 @@ class TestBadNumbers:
         ["train", "--n-steps", "100", "--budget", "100"],
         ["train", "--budget", "-5"],
         ["evaluate", "--seed", "0,0"],
+        ["train", "--budget", "1000"],  # not a whole number of 2048-step updates
+        ["train", "--budget", "100", "--n-steps", "64"],
     ])
     def test_exit_2(self, argv, tmp_path):
         out = tmp_path / "out"
@@ -565,6 +570,23 @@ class TestFailFastScenario:
             doc["network"]["links"][0][where] = value
         self.assert_rejected(tmp_path, edit, "must be an integer")
 
+    @pytest.mark.parametrize("edit, match", [
+        # float() and str() read each of these: true as 1.0, "60" as 60.0.
+        (lambda doc: doc["sim"].update(mu_h=True), "sim.mu_h must be a number"),
+        (lambda doc: doc["sim"].update(dt_s="60"), "sim.dt_s must be a number"),
+        (lambda doc: doc["control"].update(beta_h_m="6"), "control.beta_h_m must be a number"),
+        (lambda doc: doc["od"].update(autonomy_fraction=False),
+         "od.autonomy_fraction must be a number"),
+        (lambda doc: doc["od"].update(origin=0), "od.origin must be a string"),
+        (lambda doc: doc["network"]["links"][2].update({"from": None}),
+         "link 2 from must be a string"),
+        (lambda doc: doc["demand"]["breakpoints"][1].__setitem__(1, "120"),
+         "demand.breakpoints must be a number"),
+    ], ids=["bool-mu_h", "string-dt_s", "string-beta_h_m", "bool-autonomy", "number-origin",
+            "null-node", "string-rate"])
+    def test_value_of_the_wrong_json_type(self, tmp_path, edit, match):
+        self.assert_rejected(tmp_path, edit, match)
+
     def test_initial_count_that_jitter_can_push_above_jam(self, tmp_path):
         # Link 0 holds 4 lanes / 0.5 m * 240 km = 1.92e6 vehicles at jam; the
         # default 5% jitter can draw up to 1.05 * 0.99 of that.
@@ -676,6 +698,88 @@ class TestCheckpointValidation:
             load_checkpoint(path)
         self.assert_exit_3(short_scenario, tmp_path, path)
         assert not (tmp_path / "ev").exists()
+
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(beta_max_m="10"),
+        lambda doc: doc["layers"][0]["w"][0].__setitem__(0, "0.5"),
+        lambda doc: doc["layers"][1]["b"].__setitem__(0, True),
+        lambda doc: doc["log_std"].__setitem__(0, "0"),
+    ], ids=["string-bound", "string-weight", "bool-bias", "string-log_std"])
+    def test_value_of_the_wrong_json_type(self, short_scenario, tmp_path, edit):
+        # float() and np.array(..., dtype=float) read each of these as a number.
+        path = self.checkpoint(tmp_path, edit)
+        with pytest.raises(CheckpointError, match="must be a"):
+            load_checkpoint(path)
+        self.assert_exit_3(short_scenario, tmp_path, path)
+        assert not (tmp_path / "ev").exists()
+
+
+@pytest.fixture(scope="module")
+def corruption_case(tmp_path_factory):
+    """A directory, a short braess5 scenario file in it and the document of a
+    fresh checkpoint for that scenario."""
+    root = tmp_path_factory.mktemp("corrupt")
+    sc = braess5_scenario()
+    save_scenario(replace(sc, sim=replace(sc.sim, horizon_s=1800.0)), root / "short.json")
+    save_checkpoint(PolicyParams.new(12, 5, np.random.default_rng(0), 1.0, 10.0),
+                    root / "fresh.json")
+    return root, str(root / "short.json"), json.loads((root / "fresh.json").read_text())
+
+
+# Shape corruptions of a 2-D weight list and of a 1-D bias or log_std list.
+# Each breaks the chain of layers, a layer's own shapes, the depth of a list
+# or the observation and action sizes.
+MATRIX_EDITS = [
+    lambda w: w[:-1], lambda w: w + [w[0]],
+    lambda w: [r[:-1] for r in w], lambda w: [r + [0.0] for r in w],
+    lambda w: [w[0][:-1]] + w[1:], lambda w: [x for r in w for x in r], lambda w: [w],
+]
+VECTOR_EDITS = [lambda v: v[:-1], lambda v: v + [0.0], lambda v: [v], lambda v: v[0]]
+WRONG_TYPES = st.sampled_from(["x", True, False, None, [], {}])
+
+
+def parameter_lists(doc):
+    """(owner, key) of each layer's "w" and "b", then of "log_std"."""
+    return [(layer, key) for layer in doc["layers"] for key in ("w", "b")] + [(doc, "log_std")]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_corrupted_checkpoint_exits_3(corruption_case, data):
+    """A fresh checkpoint with a reshaped weight, bias or log_std list, a
+    dropped first or last layer, a non-finite value or a value of the wrong
+    JSON type exits 3 before --out exists."""
+    root, scenario, fresh = corruption_case
+    doc = json.loads(json.dumps(fresh))
+    kind = data.draw(st.sampled_from(["shape", "layer", "non-finite", "type"]), "kind")
+    if kind == "shape":
+        owner, key = data.draw(st.sampled_from(parameter_lists(doc)), "list")
+        edits = MATRIX_EDITS if key == "w" else VECTOR_EDITS
+        owner[key] = data.draw(st.sampled_from(edits), "edit")(owner[key])
+    elif kind == "layer":
+        del doc["layers"][data.draw(st.sampled_from([0, -1]), "dropped")]
+    elif kind == "non-finite":
+        value = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]), "value")
+        owner, key = data.draw(st.sampled_from(
+            parameter_lists(doc) + [(doc, "beta_min_m"), (doc, "beta_max_m")]), "where")
+        while isinstance(owner[key], list):
+            owner, key = owner[key], data.draw(st.integers(0, len(owner[key]) - 1), "index")
+        owner[key] = value
+    else:
+        owner, key = data.draw(st.sampled_from(
+            [(doc, key) for key in doc] + parameter_lists(doc)), "where")
+        while isinstance(owner[key], list) and data.draw(st.booleans(), "deeper"):
+            owner, key = owner[key], data.draw(st.integers(0, len(owner[key]) - 1), "index")
+        owner[key] = data.draw(WRONG_TYPES | st.just(json.dumps(owner[key])), "value")
+    if kind in ("shape", "layer") and data.draw(st.booleans(), "restate layer_shapes"):
+        doc["layer_shapes"] = [list(np.array(layer["w"], dtype=object).shape)
+                               for layer in doc["layers"]]
+    path, out = root / "ckpt.json", root / "ev"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--scenario", scenario, "--out", str(out),
+                 "--controller", f"policy:{path}"]) == EXIT_CHECKPOINT
+    assert not out.exists()
 
 
 class TestHonestReplay:

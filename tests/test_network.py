@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headwayctl.engine import run_episode
+from headwayctl.harness import _scenario_sha256
 from headwayctl.network import ConfigError, DemandProfile, Link, Network, ODPair, demand_at
-from headwayctl.policies import make_controller
 from headwayctl.scenario import (
+    Scenario,
+    SimConfig,
     braess5_scenario,
     braess8_scenario,
     load_scenario,
@@ -318,7 +320,8 @@ def short_braess5_document(horizon_s):
 def test_a_scenario_fails_at_load_or_runs_a_finite_episode(data):
     """One or two values of a short braess5 document replaced by an extreme,
     zero, NaN or wrongly typed value, or deleted: the document either raises
-    ConfigError when it loads, or runs a uniform episode to a finite TTT with
+    ConfigError when it loads, or runs an episode to a finite TTT under each
+    constant action at the human, the minimum and the maximum headway, with
     no exception and no overflow warning (the test run makes warnings errors)."""
     doc = short_braess5_document(data.draw(st.sampled_from([60.0, 600.0, 1800.0]), "horizon"))
     for _ in range(data.draw(st.integers(1, 2), "edits")):
@@ -335,5 +338,126 @@ def test_a_scenario_fails_at_load_or_runs_a_finite_episode(data):
         scenario = scenario_from_dict(doc)
     except ConfigError:
         return
-    trace = run_episode(scenario, make_controller("uniform", scenario.network), 0)
-    assert np.isfinite(trace.ttt) and np.isfinite(trace.total_exited)
+    net = scenario.network
+    for headway in (net.beta_h_m, net.beta_min_m, net.beta_max_m):
+        action = np.full(net.n_links, headway)
+        trace = run_episode(scenario, lambda obs: action, 0)
+        assert np.isfinite(trace.ttt) and np.isfinite(trace.total_exited)
+
+
+@st.composite
+def valid_scenarios(draw):
+    """A built-in network with its nodes renamed, and every value of the
+    format redrawn inside its valid range."""
+    builtin = draw(st.sampled_from([braess5_scenario, braess8_scenario]))()
+    names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=5, max_size=5, unique=True))
+    rename = dict(zip("OABCD", names))
+    links = tuple(
+        Link(l.id, rename[l.from_node], rename[l.to_node], draw(st.floats(1.0, 1e6)),
+             draw(st.integers(1, 8)), draw(st.floats(0.5, 40.0)), draw(st.floats(0.1, 0.99)))
+        for l in builtin.network.links)
+    beta_min = draw(st.floats(1.0, 3.0))
+    beta_max = beta_min + draw(st.floats(0.1, 20.0))
+    network = Network(links, (ODPair(rename["O"], rename["D"]),), beta_min, beta_max,
+                      beta_h_m=beta_min + draw(st.floats(0.0, 0.99)) * (beta_max - beta_min))
+    times = sorted(draw(st.lists(st.floats(0.0, 1e5), max_size=5)))
+    demand = DemandProfile(tuple((t, draw(st.floats(0.0, 100.0))) for t in times),
+                           autonomy_fraction=draw(st.floats(0.0, 1.0)))
+    dt_s = draw(st.sampled_from([0.1, 1.0, 7.0, 60.0]))
+    jitter = draw(st.floats(0.0, 0.9))
+    counted = draw(st.lists(st.integers(0, network.n_links - 1), unique=True))
+    initial_counts = {i: draw(st.floats(0.0, 0.99)) * links[i].jam_density * links[i].length_m
+                      / (1.0 + jitter) for i in counted}
+    sim = SimConfig(dt_s=dt_s, horizon_s=dt_s * draw(st.integers(1, 300)),
+                    action_period_s=dt_s * draw(st.integers(1, 50)), initial_counts=initial_counts,
+                    mu_h=draw(st.floats(0.0, 10.0)), mu_a=draw(st.floats(0.0, 10.0)),
+                    initial_jitter=jitter, latency_unit_s=draw(st.floats(1e-2, 1e3)),
+                    reward_scale=draw(st.floats(1e-6, 10.0)))
+    return Scenario(network, demand, sim)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(valid_scenarios())
+def test_every_valid_scenario_round_trips(scenario):
+    """Written as JSON text and read back, a scenario is the same scenario
+    with the same manifest hash."""
+    loaded = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scenario))))
+    assert loaded == scenario
+    assert _scenario_sha256(loaded) == _scenario_sha256(scenario)
+
+
+def braess5_document():
+    """A short braess5 document with no initial counts, so the origin can move."""
+    doc = short_braess5_document(1800.0)
+    doc["sim"]["initial_counts"] = {}
+    return doc
+
+
+def field(doc, name):
+    """The container and key of a ``section.key`` name; link keys are link 4's."""
+    section, *keys = name.split(".")
+    if keys[0] == "links":
+        return doc[section]["links"][4], keys[1]
+    return doc[section], keys[0]
+
+
+# The keys a document may leave out: each then takes SimConfig's default,
+# which braess5 also uses.
+OPTIONAL_KEYS = {"sim.initial_counts", "sim.initial_jitter", "sim.latency_unit_s",
+                 "sim.reward_scale"}
+# Another valid value of each key the writer emits. Link keys are set on
+# link 4, the shortcut A->B: "from" makes it O->B, "to" makes it A->D.
+OTHER_VALUES = {
+    "network.links.from": "O",
+    "network.links.to": "D",
+    "network.links.length_m": 30_000.0,
+    "network.links.lanes": 4,
+    "network.links.vff_mps": 25.0,
+    "network.links.jam_spacing_m": 0.25,
+    "od.origin": "A",
+    "od.destination": "B",
+    "od.autonomy_fraction": 0.5,
+    "demand.breakpoints": [[0.0, 0.0], [600.0, 1.0]],
+    "control.beta_min_m": 2.0,
+    "control.beta_max_m": 12.0,
+    "control.beta_h_m": 5.0,
+    "control.action_period_s": 300.0,
+    "sim.dt_s": 30.0,
+    "sim.horizon_s": 1200.0,
+    "sim.initial_counts": {"0": 1000.0},
+    "sim.mu_h": 0.2,
+    "sim.mu_a": 0.3,
+    "sim.initial_jitter": 0.1,
+    "sim.latency_unit_s": 30.0,
+    "sim.reward_scale": 0.01,
+}
+
+
+def test_every_written_key_is_read():
+    """Deleting a key the writer emits raises ConfigError unless the key is
+    optional, and another valid value loads another scenario: no key is
+    written but ignored. A link id has no other valid value, so a changed id
+    is refused."""
+    doc = braess5_document()
+    base = scenario_from_dict(doc)
+    names = [f"network.links.{key}" for key in doc["network"]["links"][4]]
+    names += [f"{section}.{key}" for section in doc for key in doc[section] if key != "links"]
+    assert sorted(names) == sorted([*OTHER_VALUES, "network.links.id"])
+    for name in names:
+        doc = braess5_document()
+        owner, key = field(doc, name)
+        del owner[key]
+        if name in OPTIONAL_KEYS:
+            assert scenario_from_dict(doc) == base, name
+        else:
+            with pytest.raises(ConfigError):
+                scenario_from_dict(doc)
+        doc = braess5_document()
+        owner, key = field(doc, name)
+        if name == "network.links.id":
+            owner[key] = 5
+            with pytest.raises(ConfigError, match="link ids"):
+                scenario_from_dict(doc)
+        else:
+            owner[key] = OTHER_VALUES[name]
+            assert scenario_from_dict(doc) != base, name

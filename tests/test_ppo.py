@@ -273,6 +273,10 @@ class TestTrainLoop:
             TrainConfig(n_steps=100)
         with pytest.raises(ValueError):
             TrainConfig(n_steps=64, n_envs=5)
+        # A budget that is not a whole number of updates: 100 steps would
+        # run one 64-step update.
+        with pytest.raises(ValueError, match="whole number"):
+            TrainConfig(total_steps=100, n_steps=64, n_envs=4)
 
     def test_evaluate_policy_is_run_episode_ttt(self):
         # One TTT definition: evaluation runs the same episode as

@@ -8,8 +8,9 @@ values off ``TrainConfig()`` and network and env values in its exact-count
 checks; tests evaluate those checks against an empty report and against one
 traced call of each workload, whose counts must match. Another test
 pins every value the program lets a caller set, so that a new knob fails by
-name. The last one checks that the repo's pytest settings report a failing
-Hypothesis test as a failure and go on to the next test.
+name, and one pins the scenario format's keys the same way. The last one
+checks that the repo's pytest settings report a failing Hypothesis test as a
+failure and go on to the next test.
 """
 
 import ast
@@ -137,6 +138,35 @@ SETTABLE_VALUES = [
 ]
 
 
+# Every key of the scenario file format, as ``section.key``; a link's keys
+# are ``network.links.<key>``.
+SCENARIO_KEYS = [
+    "network.links.id",
+    "network.links.from",
+    "network.links.to",
+    "network.links.length_m",
+    "network.links.lanes",
+    "network.links.vff_mps",
+    "network.links.jam_spacing_m",
+    "od.origin",
+    "od.destination",
+    "od.autonomy_fraction",
+    "demand.breakpoints",
+    "control.beta_min_m",
+    "control.beta_max_m",
+    "control.beta_h_m",
+    "control.action_period_s",
+    "sim.dt_s",
+    "sim.horizon_s",
+    "sim.initial_counts",
+    "sim.mu_h",
+    "sim.mu_a",
+    "sim.initial_jitter",
+    "sim.latency_unit_s",
+    "sim.reward_scale",
+]
+
+
 def settable_values(tree: ast.AST, prefix: str) -> list[str]:
     """Names of the parameters with a default and the dataclass fields with a
     default under ``tree``; ``ClassVar`` and ``init=False`` fields are constants
@@ -171,6 +201,18 @@ def test_settable_values():
     for path in sorted((ROOT / "src" / "headwayctl").glob("*.py")):
         found += settable_values(ast.parse(path.read_text()), f"{path.stem}.")
     assert found == SETTABLE_VALUES
+
+
+def test_scenario_keys():
+    """The scenario format names only these keys, in this order: a new key
+    must be added here by name, as a new settable value must."""
+    from headwayctl.scenario import braess8_scenario, scenario_to_dict
+
+    doc = scenario_to_dict(braess8_scenario())
+    keys = [f"network.links.{key}" for key in doc["network"]["links"][0]]
+    keys += [f"{section}.{key}" for section in doc for key in doc[section] if key != "links"]
+    assert keys == SCENARIO_KEYS
+    assert all(list(link) == list(doc["network"]["links"][0]) for link in doc["network"]["links"])
 
 
 def test_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
