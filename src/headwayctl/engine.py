@@ -14,10 +14,13 @@ flow conservation an exact bookkeeping identity. Each step:
 5. emit the reward: minus the scaled total of vehicles in the network and
    in the origin queues.
 
-Steps 2 and 3 have no Python loops over paths or links: index tables built
-once per engine (one row per (link, path) cell on a path) turn the transfer,
-rationing and queue drain into array arithmetic that performs the same
-floating-point operations, in the same order, as a per-cell loop would.
+Steps 2 and 3 have no Python loops over paths or links. Every source of
+vehicles, a (link, path) cell on a path or a path's origin queue, sends to
+one slot: the next link on its path, the queue's first link, or, past a
+path's last link, the exit slot. One table of those slots, built once per
+engine, turns claims, rationing, the transfer, the queue drain and the exit
+count into array arithmetic that performs the same floating-point
+operations, in the same order, as a per-cell loop would.
 
 A network has one O/D pair: one (human, auto) origin queue and one
 (2, n_paths) share array. ``step_sim`` writes its row into the episode's
@@ -105,42 +108,37 @@ class TrafficEnv:
 
         self._paths = net.paths
         self.n_paths = len(self._paths)
-        self._first_link = np.array([links[0] for links in self._paths], dtype=int)
 
-        # Index tables for the loop-free step. A cell is one (link, path)
-        # pair on a path; cells run path-major with links ascending, the
-        # order in which claims are accumulated. A cell's outflow goes to the
-        # next link on its path or, past the last link, to the extra ration
-        # slot n_links, whose ration is always 1. Its inflow is the outflow
-        # of the cell upstream on its path or, on a first link, the drain of
-        # the path's origin queue (row n_cells + path of the inflow sources).
+        # Index tables for the loop-free step, one row per source: the cells,
+        # path-major with links ascending, then row n_cells + path for each
+        # path's origin queue. _dest is each source's slot: the next link on
+        # its path, a queue's first link, or past a path's last link the exit
+        # slot n_links, whose ration is always 1. A cell's inflow is what its
+        # upstream source moves: the cell before it on its path or its queue.
         cells = [(gp, l) for gp, links in enumerate(self._paths) for l in sorted(links)]
         index = {cell: i for i, cell in enumerate(cells)}
         n_cells = len(cells)
-        cell_dest, upstream, inflow_first = [], [], []
+        dest, upstream, inflow_first = [], [], []
         for gp, l in cells:
             links = self._paths[gp]
             k = links.index(l)
-            cell_dest.append(links[k + 1] if k + 1 < len(links) else self.n_links)
+            dest.append(links[k + 1] if k + 1 < len(links) else self.n_links)
             upstream.append(index[gp, links[k - 1]] if k else n_cells + gp)
             # The inflow is added before the outflow is taken when the
             # upstream link has the lower index, and after it otherwise: the
             # order of a per-path walk over links in ascending index order
             # (tests/test_engine_reference.py), so results match it bit for bit.
             inflow_first.append(k > 0 and links[k - 1] < l)
-        cell_link = np.array([l for _, l in cells], dtype=int)
-        self._cell_link = cell_link
-        self._cell_dest = np.array(cell_dest, dtype=int)
+        self._dest = np.array(dest + [links[0] for links in self._paths], dtype=int)
+        # Each claim's slot: each cell's send, then each queue's (human, auto).
+        self._claim_index = np.concatenate([self._dest[:n_cells],
+                                            np.repeat(self._dest[n_cells:], 2)])
         self._upstream = np.array(upstream, dtype=int)
         self._inflow_first = np.array(inflow_first)[:, None]
+        self._cell_link = cell_link = np.array([l for _, l in cells], dtype=int)
         # Flat element indices of each cell's (human, auto) pair in counts.
         rows = cell_link * self.n_paths + np.array([gp for gp, _ in cells], dtype=int)
         self._cell_elems = np.stack([2 * rows, 2 * rows + 1], axis=1)
-        transfer = self._cell_dest < self.n_links
-        self._claim_cells = np.nonzero(transfer)[0]
-        self._claim_index = np.concatenate([self._cell_dest[transfer],
-                                            np.repeat(self._first_link, 2)])
-        self._exit_cells = np.nonzero(~transfer)[0]
         self._beta_h = net.beta_h_m
 
     # ------------------------------------------------------------------
@@ -240,33 +238,32 @@ class TrafficEnv:
         self.queues += arrivals
         self.injected += float(arrivals.sum())
 
-        # Claims on each receiving link: cohort transfers plus queue drains,
-        # accumulated in path order (bincount adds sequentially).
+        # Claims on every slot, added in source order (bincount adds
+        # sequentially): cohort sends, then queue drain attempts. The exit
+        # slot's claim is the volume that leaves the network.
         inject_attempt = self.queues * self.shares.T  # (path, class)
-        claim = np.bincount(
-            self._claim_index,
-            np.concatenate([send_total.take(self._claim_cells), inject_attempt.ravel()]),
-            minlength=self.n_links,
-        )
+        claim = np.bincount(self._claim_index,
+                            np.concatenate([send_total, inject_attempt.ravel()]))
+        link_claim = claim[:-1]
 
-        space = self._jam_count - n_link
-        ration = np.ones(self.n_links + 1)  # the extra slot is the exit's
-        oversubscribed = claim > space
-        if oversubscribed.any():
-            ration[:-1][oversubscribed] = np.clip(
-                space[oversubscribed] / claim[oversubscribed], 0.0, 1.0)
+        # A link that rounding left above jam has no space rather than
+        # negative space, so a zero claim on it is never divided by.
+        space = np.maximum(self._jam_count - n_link, 0.0)
+        ration = np.ones(self.n_links + 1)  # the exit slot's stays 1
+        oversubscribed = link_claim > space
+        if oversubscribed.any():  # then space / claim lies in [0, 1]
+            ration[:-1][oversubscribed] = space[oversubscribed] / link_claim[oversubscribed]
 
-        # Move cohorts downstream (or out of the network) and drain the
-        # origin queues onto first links, subject to the same cap.
-        moved = send * ration.take(self._cell_dest)[:, None]
-        drained = inject_attempt * ration.take(self._first_link)[:, None]
-        inflow = np.concatenate([moved, drained]).take(self._upstream, axis=0)
+        # Every source moves its send times its slot's ration: cohorts move
+        # downstream (or out of the network), and queues drain onto first links.
+        moves = np.concatenate([send, inject_attempt]) * ration.take(self._dest)[:, None]
+        moved, drained = moves[:-self.n_paths], moves[-self.n_paths:]
+        inflow = moves.take(self._upstream, axis=0)
         counts.put(self._cell_elems, np.where(self._inflow_first, (cells + inflow) - moved,
                                               (cells - moved) + inflow))
         # The queue gives up each path's drain in turn, path by path.
         self.queues = np.subtract.reduce(np.concatenate([self.queues[None], drained]))
-        # Left to right, as a running total (sum() would add pairwise).
-        self.exited += float(np.add.accumulate(send_total.take(self._exit_cells))[-1])
+        self.exited += float(claim[-1])
 
         self._check_state()
 

@@ -250,6 +250,12 @@ def cmd_heatmap(options: dict) -> int:
         raise ConfigError(f"trace {trace_path} has link ids outside the scenario's "
                           f"{n_links} links")
     times, column = np.unique(t_s, return_inverse=True)
+    # A missing cell would be drawn as free flow and a repeated one would
+    # overwrite its twin, so each (t_s, link_id) must appear exactly once.
+    cells = column * n_links + links
+    if len(records) != len(times) * n_links or len(np.unique(cells)) != len(cells):
+        raise ConfigError(f"trace {trace_path} does not hold each (t_s, link_id) once: "
+                          f"{len(records)} rows for {len(times)} times x {n_links} links")
     grid = np.zeros((n_links, len(times)))
     grid[links, column] = density / scenario.network.jam_density[links]
     out = _out_dir(options)

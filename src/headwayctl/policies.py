@@ -131,7 +131,8 @@ def _numbers(value, ndim: int, name: str) -> np.ndarray:
 
 
 def _check_structure(params: PolicyParams, path) -> None:
-    """Layers chain, every parameter is finite, log_std matches the actions."""
+    """Layers chain, every parameter is finite, no layer's output can
+    overflow, log_std matches the actions."""
     if not params.layers:
         raise CheckpointError(f"checkpoint has no layers: {path}")
     for i, (W, b) in enumerate(params.layers):
@@ -148,6 +149,15 @@ def _check_structure(params: PolicyParams, path) -> None:
     arrays = [a for layer in params.layers for a in layer] + [params.log_std]
     if not all(np.isfinite(a).all() for a in arrays):
         raise CheckpointError(f"checkpoint has a non-finite weight, bias or log_std: {path}")
+    # Observations lie in [0, 1] and tanh outputs in [-1, 1], so each layer's
+    # outputs are bounded by |W| summed over its inputs plus |b|. Half the
+    # largest float leaves room for the rounding of the matmul.
+    for i, (W, b) in enumerate(params.layers):
+        with np.errstate(over="ignore"):
+            bound = np.abs(W).sum(axis=0) + np.abs(b)
+        if not (bound <= np.finfo(float).max / 2).all():
+            raise CheckpointError(f"checkpoint layer {i} can output {bound.max():.3g}, "
+                                  f"which overflows: {path}")
 
 
 def make_controller(name: str, network: Network):

@@ -241,6 +241,11 @@ def _breakpoints(value, name: str) -> tuple:
 
 
 def _counts(value, name: str) -> dict:
+    """Counts keyed by link id written as ``str(id)``: int() alone would read
+    "00", " 2", "+2", "-0" and "1_0" too, so two keys could name one link."""
+    for k in value:
+        if str(int(k)) != k:
+            raise ConfigError(f"{name} key {k!r} is not a link id written as a plain integer")
     return {int(k): _real(v, f"{name}.{k}") for k, v in value.items()}
 
 

@@ -158,6 +158,17 @@ class TestStep:
             env.injected, rel=1e-9
         )
 
+    def test_link_rounding_left_above_jam_has_no_space(self):
+        # One ulp above jam and no claim on it: the ration used to divide
+        # the negative space by the zero claim, a RuntimeWarning, which the
+        # pytest configuration turns into an error.
+        env = TrafficEnv(single_link_scenario(length_m=100.0, initial=0.0))
+        env.reset(0)
+        above = np.nextafter(200.0, np.inf)
+        env.counts[0, 0, 0] = above
+        env.step_sim()  # a jammed link sends nothing, and nothing enters it
+        assert env.counts.sum() == above and env.queues.sum() == 0.0
+
 
 class TestInvariantGuards:
     """The guards raise with the seed and step of the offending state."""

@@ -444,7 +444,8 @@ class TestHeatmap:
                      "--trace", str(empty), "--out", str(tmp_path / "hm")])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("edit", ["braess8 trace", "no density", "non-numeric", "nan"])
+    @pytest.mark.parametrize("edit", ["braess8 trace", "no density", "non-numeric", "nan",
+                                      "missing last row", "repeated cell", "one row"])
     def test_bad_trace_exit_2(self, edit, tmp_path):
         run = tmp_path / "run"
         scenario = "braess8" if edit == "braess8 trace" else "braess5"
@@ -459,6 +460,15 @@ class TestHeatmap:
         elif edit == "nan":
             cells = lines[5].split(",")
             lines[5] = ",".join(cells[:3] + ["nan"] + cells[4:])
+        elif edit == "missing last row":
+            lines = lines[:-1]
+        elif edit == "repeated cell":
+            # Row 6 becomes row 5's (t_s, link_id) at another density, so
+            # the row count still fits the scenario.
+            cells = lines[5].split(",")
+            lines[6] = ",".join(cells[:3] + ["0.5"] + cells[4:])
+        elif edit == "one row":
+            lines = lines[:2]
         trace.write_text("\n".join(lines) + "\n")
         out = tmp_path / "hm"
         assert main(["heatmap", "--scenario", "braess5", "--trace", str(trace),
@@ -555,6 +565,14 @@ class TestFailFastScenario:
             doc["network"]["links"].append(link)
             doc["sim"]["initial_counts"]["5"] = 10.0
         self.assert_rejected(tmp_path, edit, "no path uses")
+
+    @pytest.mark.parametrize("key", ["00", " 2", "+2", "-0", "1_0"])
+    def test_initial_count_key_that_is_not_a_plain_link_id(self, tmp_path, key):
+        # int() reads each of these: "00" next to "0" used to drop the first
+        # entry, " 2" and "+2" named link 2, "-0" link 0 and "1_0" link 10.
+        def edit(doc):
+            doc["sim"]["initial_counts"][key] = 7.0
+        self.assert_rejected(tmp_path, edit, "not a link id")
 
     def test_non_numeric_field(self, tmp_path):
         def edit(doc):
@@ -699,6 +717,18 @@ class TestCheckpointValidation:
         self.assert_exit_3(short_scenario, tmp_path, path)
         assert not (tmp_path / "ev").exists()
 
+    def test_output_that_can_overflow(self, short_scenario, tmp_path):
+        # Every value is finite, but the second hidden layer saturates and
+        # the output layer sums 64 ones times 1e308: evaluate used to raise
+        # FloatingPointError mid-episode, after --out existed.
+        def edit(doc):
+            doc["layers"][1]["b"] = [100.0] * 64
+            doc["layers"][2]["w"] = [[1e308] * 5 for _ in range(64)]
+        path = self.checkpoint(tmp_path, edit)
+        with pytest.raises(CheckpointError, match="layer 2 can output inf"):
+            load_checkpoint(path)
+        self.assert_exit_3(short_scenario, tmp_path, path)
+        assert not (tmp_path / "ev").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.update(beta_max_m="10"),
