@@ -31,6 +31,7 @@ exists from ``reset(seed)`` on; one engine holds one episode at a time.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ from .scenario import Scenario
 
 # Tolerance for float bookkeeping noise when clamping counts at zero.
 _NEGATIVE_TOL = 1e-6
+
+# Time steps of a trace formatted at once when writing its CSV rows.
+_CSV_BLOCK_STEPS = 25
 
 
 class InvariantViolation(RuntimeError):
@@ -102,6 +106,9 @@ class TrafficEnv:
         self.net = net
         self.sim = scenario.sim
         self.n_links = net.n_links
+        # SimConfig derives these on every read; the step reads them often.
+        self._n_steps = self.sim.n_steps
+        self._steps_per_action = self.sim.steps_per_action
 
         self._jam_count = net.jam_density * net.length_m
         self._jam_tolerance = _NEGATIVE_TOL * np.maximum(self._jam_count, 1.0)
@@ -159,7 +166,7 @@ class TrafficEnv:
         self.injected = 0.0
         self.exited = 0.0
         # Fresh arrays, so a trace already handed out is never overwritten.
-        self.trace = EpisodeTrace(self.sim.n_steps, self.n_links, self.sim.reward_scale)
+        self.trace = EpisodeTrace(self._n_steps, self.n_links, self.sim.reward_scale)
 
         alpha = self.scenario.demand.autonomy_fraction
         for link_id, base in sorted(self.sim.initial_counts.items()):
@@ -186,17 +193,18 @@ class TrafficEnv:
         Out-of-bounds components are clamped to the network's headway bounds;
         non-finite ones are refused, so every headway the step sees is valid.
         """
-        period = self.sim.steps_per_action
+        period = self._steps_per_action
         if self.step_index % period:
             raise ValueError(f"action applied at step {self.step_index}, "
                              f"not a multiple of {period} steps")
         beta = np.asarray(beta_a_m, dtype=float)
         if beta.shape != (self.n_links,):
             raise ValueError(f"action must have shape ({self.n_links},)")
-        if not np.isfinite(beta).all():
+        if not np.logical_and.reduce(np.isfinite(beta)):
             raise ValueError(f"action components must be finite, got {beta}")
-        clipped = np.clip(beta, self.net.beta_min_m, self.net.beta_max_m)
-        clamped = bool(np.any(clipped != beta))
+        # np.clip's result, without its Python-level wrapper.
+        clipped = np.minimum(np.maximum(beta, self.net.beta_min_m), self.net.beta_max_m)
+        clamped = bool(np.logical_or.reduce(clipped != beta))
         self.beta_a = clipped
         return clamped
 
@@ -211,8 +219,10 @@ class TrafficEnv:
         dt = sim.dt_s
         counts = self.counts
 
-        n_link = counts.sum(axis=(1, 2))
-        alpha = _ratio(counts[:, :, AUTO].sum(axis=1), n_link)
+        # ufunc reductions, called directly: the ndarray methods run the same
+        # reductions behind a Python-level wrapper.
+        n_link = np.add.reduce(counts, axis=(1, 2))
+        alpha = _ratio(np.add.reduce(counts[:, :, AUTO], axis=1), n_link)
 
         net = self.net
         ncrit = fd.critical_density(net.lanes, alpha, self.beta_a, self._beta_h)
@@ -233,10 +243,9 @@ class TrafficEnv:
         # Demand arrives at the origin queue before the drain attempt.
         demand = self.scenario.demand
         vol = demand_at(demand, self.t_s) * dt
-        arrivals = np.array([vol * (1.0 - demand.autonomy_fraction),  # (human, auto)
-                             vol * demand.autonomy_fraction])
-        self.queues += arrivals
-        self.injected += float(arrivals.sum())
+        human, auto = vol * (1.0 - demand.autonomy_fraction), vol * demand.autonomy_fraction
+        self.queues += (human, auto)
+        self.injected += human + auto
 
         # Claims on every slot, added in source order (bincount adds
         # sequentially): cohort sends, then queue drain attempts. The exit
@@ -249,14 +258,17 @@ class TrafficEnv:
         # A link that rounding left above jam has no space rather than
         # negative space, so a zero claim on it is never divided by.
         space = np.maximum(self._jam_count - n_link, 0.0)
-        ration = np.ones(self.n_links + 1)  # the exit slot's stays 1
         oversubscribed = link_claim > space
-        if oversubscribed.any():  # then space / claim lies in [0, 1]
-            ration[:-1][oversubscribed] = space[oversubscribed] / link_claim[oversubscribed]
 
         # Every source moves its send times its slot's ration: cohorts move
         # downstream (or out of the network), and queues drain onto first links.
-        moves = np.concatenate([send, inject_attempt]) * ration.take(self._dest)[:, None]
+        # With no link oversubscribed every ration is 1 and x * 1.0 == x, so
+        # the rations are built and multiplied in only when one is.
+        moves = np.concatenate([send, inject_attempt])
+        if np.logical_or.reduce(oversubscribed):  # then space / claim lies in [0, 1]
+            ration = np.ones(self.n_links + 1)  # the exit slot's stays 1
+            ration[:-1][oversubscribed] = space[oversubscribed] / link_claim[oversubscribed]
+            moves *= ration.take(self._dest)[:, None]
         moved, drained = moves[:-self.n_paths], moves[-self.n_paths:]
         inflow = moves.take(self._upstream, axis=0)
         counts.put(self._cell_elems, np.where(self._inflow_first, (cells + inflow) - moved,
@@ -300,7 +312,7 @@ class TrafficEnv:
         self._refuse_if_done()
         self.apply_action(beta_a_m)
         total = 0.0
-        for _ in range(self.sim.steps_per_action):
+        for _ in range(self._steps_per_action):
             total += self.step_sim()
             if self.done:
                 break
@@ -311,11 +323,12 @@ class TrafficEnv:
 
     def current_reward(self) -> float:
         """-scale * (vehicles on links + vehicles queued at origins)."""
-        return -self.sim.reward_scale * float(self.counts.sum() + self.queues.sum())
+        return -self.sim.reward_scale * float(np.add.reduce(self.counts, axis=None)
+                                              + np.add.reduce(self.queues))
 
     def observe(self) -> np.ndarray:
-        n_link = self.counts.sum(axis=(1, 2))
-        alpha = _ratio(self.counts[:, :, AUTO].sum(axis=1), n_link)
+        n_link = np.add.reduce(self.counts, axis=(1, 2))
+        alpha = _ratio(np.add.reduce(self.counts[:, :, AUTO], axis=1), n_link)
         t_part = min(self.t_s / self.sim.horizon_s, 1.0)
         peak = self.scenario.demand.peak_rate
         rate_part = min(demand_at(self.scenario.demand, self.t_s) / peak, 1.0) if peak > 0 else 0.0
@@ -329,12 +342,12 @@ class TrafficEnv:
 
     @property
     def done(self) -> bool:
-        return self.step_index >= self.sim.n_steps
+        return self.step_index >= self._n_steps
 
     @property
     def n_decisions(self) -> int:
         """Decision steps per episode, a trailing partial period included."""
-        return -(-self.sim.n_steps // self.sim.steps_per_action)
+        return -(-self._n_steps // self._steps_per_action)
 
     # ------------------------------------------------------------------
     # internal guards
@@ -342,11 +355,22 @@ class TrafficEnv:
     def _refuse_if_done(self) -> None:
         if self.done:
             raise ValueError(f"episode of seed {self.seed} is over: step {self.step_index} "
-                             f"is past its {self.sim.n_steps} steps; reset first")
+                             f"is past its {self._n_steps} steps; reset first")
 
     def _check_state(self) -> None:
         """Zero the float noise below zero, then refuse states that should be
         unreachable: non-finite, beyond the negative tolerance or above jam."""
+        # One pass settles the usual case: nothing negative or NaN, no queue
+        # infinite and no link above jam. Counts are then non-negative, so a
+        # link's total is infinite exactly when one of its counts is, and the
+        # jam test refuses it. Any other state takes the checks below.
+        counts = self.counts
+        human, auto = self.queues.tolist()
+        over = np.add.reduce(counts, axis=(1, 2)) - self._jam_count
+        if (0.0 <= human < np.inf and 0.0 <= auto < np.inf
+                and np.minimum.reduce(counts, axis=None) >= 0.0
+                and not np.logical_or.reduce(over > self._jam_tolerance)):
+            return
         for arr in (self.counts, self.queues):
             if arr.min() >= 0.0:  # nothing negative and no NaN: nothing to scrub
                 continue
@@ -383,14 +407,37 @@ def run_episode(scenario: Scenario, controller, seed: int) -> EpisodeTrace:
     return env.trace
 
 
-def trace_to_csv_rows(trace: EpisodeTrace) -> list[tuple]:
-    """Flatten a trace to one row per (t, link), schema-stable."""
+def _repr_each(values: np.ndarray) -> Iterator[str]:
+    """``repr`` of each float, computed once per distinct bit pattern, so
+    0.0 and -0.0 stay apart. Autonomy fractions, latencies and headways
+    repeat a few values across links and steps."""
+    bits, at = np.unique(values.view(np.int64), return_inverse=True)
+    text = list(map(repr, bits.view(float).tolist()))
+    return map(text.__getitem__, at.tolist())
+
+
+def trace_to_csv_rows(trace: EpisodeTrace) -> Iterator[tuple]:
+    """Flatten a trace to one row per (t, link), schema-stable.
+
+    Rows come as tuples of cell text, ``_CSV_BLOCK_STEPS`` time steps at a
+    time, so memory stays bounded. Each column of a block is formatted in one
+    pass: floats with ``repr`` and the integer ``congested`` column with
+    ``str``, the text ``csv.writer`` gives the same values. A time is
+    formatted once per step, the link ids once, and each repeating column
+    once per distinct value.
+    """
     T, L = trace.count.shape
-    columns = [np.repeat(trace.t_s, L), np.tile(np.arange(L), T)]
-    columns += [a.ravel() for a in (trace.count, trace.density, trace.autonomy,
-                                     trace.congested, trace.flow_vps,
-                                     trace.latency_s, trace.beta_a_m)]
-    return list(zip(*(c.tolist() for c in columns)))
+    link_ids = list(map(str, range(L))) * _CSV_BLOCK_STEPS
+    for start in range(0, T, _CSV_BLOCK_STEPS):
+        block = slice(start, start + _CSV_BLOCK_STEPS)
+        times = [t for t in map(repr, trace.t_s[block].tolist()) for _ in range(L)]
+        count, density, autonomy, congested, flow, latency, beta = (
+            a[block].ravel() for a in (trace.count, trace.density, trace.autonomy,
+                                       trace.congested, trace.flow_vps, trace.latency_s,
+                                       trace.beta_a_m))
+        yield from zip(times, link_ids, map(repr, count.tolist()), map(repr, density.tolist()),
+                       _repr_each(autonomy), map(str, congested.tolist()),
+                       map(repr, flow.tolist()), _repr_each(latency), _repr_each(beta))
 
 
 TRACE_CSV_HEADER = [

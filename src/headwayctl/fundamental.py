@@ -49,11 +49,17 @@ def sending_flow(density, free_flow_speed_mps, crit_density, jam_density):
 
     Triangular-style diagram: linear in density up to the critical density,
     then decreasing to zero at jam density. Continuous at the critical point.
+    When no link is above its critical density the free branch is the whole
+    answer, since n_c < n_jam, and it is returned without the congested one
+    (with the shape of ``v * rho``; the engine passes arrays of one shape).
     """
     rho, v, n_c, n_jam = density, free_flow_speed_mps, crit_density, jam_density
     free = v * rho
+    below = rho <= n_c
+    if np.logical_and.reduce(below, axis=None):
+        return free
     congested = v * n_c * (n_jam - rho) / (n_jam - n_c)
-    flow = np.where(rho <= n_c, free, np.maximum(congested, 0.0))
+    flow = np.where(below, free, np.maximum(congested, 0.0))
     return np.where(rho > n_jam, 0.0, flow)
 
 
@@ -68,6 +74,8 @@ def link_latency(flow, congested, length_m, free_flow_speed_mps, crit_density, j
     Free flow: length / speed. Congested: grows with the flow deficit and
     equals the free-flow value exactly when flow sits at capacity. Capped at
     LATENCY_CAP_S because the congested branch diverges as flow vanishes.
+    When no link is congested the answer is ``d / v``, returned as is (with
+    that shape).
     """
     d, v, n_c, n_jam = length_m, free_flow_speed_mps, crit_density, jam_density
     # Only congested links with positive flow divide. A congested link with no
@@ -75,8 +83,11 @@ def link_latency(flow, congested, length_m, free_flow_speed_mps, crit_density, j
     # link sending_flow gives either 0 or at least about eps of capacity, and
     # a Scenario is refused at load if the latency at that flow overflows.
     congested = congested > 0
-    jam_over_flow = np.divide(n_jam, flow, out=np.full_like(flow, np.inf, dtype=float),
-                              where=congested & (flow > 0.0))
+    if not np.logical_or.reduce(congested, axis=None):  # all free flow
+        return d / v
+    jam_over_flow = np.empty_like(flow, dtype=float)
+    jam_over_flow.fill(np.inf)
+    np.divide(n_jam, flow, out=jam_over_flow, where=congested & (flow > 0.0))
     jammed = d * (jam_over_flow + (n_c - n_jam) / (v * n_c))
     return np.where(congested, np.minimum(jammed, LATENCY_CAP_S), d / v)
 

@@ -26,16 +26,17 @@ def logit_update(shares: np.ndarray, latencies: np.ndarray, mu: float) -> np.nda
     has its exponent clamped at 0. Both vectors are float arrays;
     ``SimConfig`` holds ``mu`` non-negative.
     """
-    if not np.isfinite(latencies).all():
+    # The reductions are the ufuncs the ndarray methods would call.
+    if not np.logical_and.reduce(np.isfinite(latencies)):
         raise ValueError("latencies must be finite")
-    if shares.min(initial=0.0) < 0.0:
+    if np.minimum.reduce(shares, initial=0.0) < 0.0:
         raise ValueError("shares must be non-negative")
     # Latencies are finite, so only a vector with no share alive shifts by inf.
-    shift = latencies.min(where=shares > 0.0, initial=np.inf)
+    shift = np.minimum.reduce(latencies, where=shares > 0.0, initial=np.inf)
     if shift == np.inf:
         raise ValueError("at least one share must be positive")
     weights = shares * np.exp(-mu * np.maximum(latencies - shift, 0.0))
-    return weights / weights.sum()
+    return weights / np.add.reduce(weights)
 
 
 def step_shares(shares: np.ndarray, path_latencies: np.ndarray,

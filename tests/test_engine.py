@@ -409,7 +409,7 @@ class TestTraceShape:
         assert trace.count.shape == (sc.sim.n_steps, sc.network.n_links)
         from headwayctl.engine import TRACE_CSV_HEADER, trace_to_csv_rows
 
-        rows = trace_to_csv_rows(trace)
+        rows = list(trace_to_csv_rows(trace))
         assert len(rows) == sc.sim.n_steps * sc.network.n_links
         assert len(rows[0]) == len(TRACE_CSV_HEADER)
 

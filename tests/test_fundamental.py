@@ -177,3 +177,65 @@ def test_latency_never_below_free_flow(ratio, congested):
     s = congestion_state(rho, n_c)
     lat = link_latency(flow, s, d, v, n_c, jam)
     assert lat >= d / v - 1e-9 * (d / v)
+
+
+# The general formulas, as the functions computed them before the free-flow
+# early returns; the engine's reference loop calls the functions themselves,
+# so only a comparison with these can catch a wrong early return.
+def general_sending_flow(rho, v, n_c, n_jam):
+    free = v * rho
+    congested = v * n_c * (n_jam - rho) / (n_jam - n_c)
+    flow = np.where(rho <= n_c, free, np.maximum(congested, 0.0))
+    return np.where(rho > n_jam, 0.0, flow)
+
+
+def general_link_latency(flow, congested, d, v, n_c, n_jam):
+    congested = congested > 0
+    jam_over_flow = np.divide(n_jam, flow, out=np.full_like(flow, np.inf, dtype=float),
+                              where=congested & (flow > 0.0))
+    jammed = d * (jam_over_flow + (n_c - n_jam) / (v * n_c))
+    return np.where(congested, np.minimum(jammed, LATENCY_CAP_S), d / v)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), scalar=st.booleans(), free_flow=st.booleans())
+def test_early_returns_match_the_general_formulas(data, scalar, free_flow):
+    """``sending_flow`` and ``link_latency`` equal the general formulas bit for
+    bit, for 1-8 links and for Python floats. With every link at free flow
+    they take their early returns (v * rho and d / v), densities of exactly 0
+    and n_c included; otherwise some links may sit anywhere up to past jam."""
+    n = 1 if scalar else data.draw(st.integers(1, 8), "links")
+
+    def column(lo, hi):
+        return data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+
+    v, d = column(1.0, 40.0), column(100.0, 300_000.0)
+    n_c = [critical_density(lanes, alpha, beta_a, beta_h) for lanes, alpha, beta_a, beta_h in zip(
+        data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n)),
+        column(0.0, 1.0), column(1.0, 10.0), column(1.0, 10.0))]
+    jam_ratio = column(1.5, 20.0)
+    n_jam = [r * c for r, c in zip(jam_ratio, n_c)]
+
+    def fill(r):  # rho = fill * n_c: a fill of 1.0 gives rho == n_c exactly
+        fills = [st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)]
+        if not free_flow:  # up to past jam, at jam exactly too
+            fills += [st.sampled_from([r, 1.2 * r]), st.floats(1.0, 1.2 * r)]
+        return data.draw(st.one_of(fills), "fill")
+
+    rho = [fill(r) * c for r, c in zip(jam_ratio, n_c)]
+    if scalar:
+        v, d, n_c, n_jam, rho = (x[0] for x in (v, d, n_c, n_jam, rho))
+    else:
+        v, d, n_c, n_jam, rho = map(np.array, (v, d, n_c, n_jam, rho))
+    congested = congestion_state(rho, n_c)
+    assert not (free_flow and np.any(congested))  # free flow takes both early returns
+
+    flow = sending_flow(rho, v, n_c, n_jam)
+    assert same_bits(flow, general_sending_flow(rho, v, n_c, n_jam))
+    latency = link_latency(flow, congested, d, v, n_c, n_jam)
+    assert same_bits(latency, general_link_latency(flow, congested, d, v, n_c, n_jam))

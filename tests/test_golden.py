@@ -1,4 +1,4 @@
-"""Behaviour pin: golden TTTs, a byte-exact trace CSV and a short learning curve.
+"""Behaviour pin: golden TTTs, byte-exact trace CSVs and a short learning curve.
 
 The values were recorded once, before the loop-free engine step replaced the
 per-path loops, and must never be re-recorded to absorb a drift: a refactor
@@ -49,6 +49,15 @@ EPISODES = {
 # sha256 of trace_seed0.csv from `simulate --scenario braess8 --controller uniform`.
 TRACE_SHA256 = "a77ea129e7e7f6dc6f2068884b31fc7c6f567770ebb8b27ba21109f7d50e593a"
 
+# The same for runs with more free-flow steps, where the step takes its early
+# returns: every step of braess8 under `min` is free flow. Recorded before
+# the early returns existed.
+FREE_FLOW_TRACE_SHA256 = {
+    ("braess8", "min"): "f60e9f774a7b648fbd7a9856b9d95576db9df50aac86d45ec483c842bd4f8011",
+    ("braess5", "uniform"): "6b4dcb1bca60629e9029bb199722b6c3a82d668369854ec1d70c43bbc2ff642b",
+    ("braess5", "min"): "4290fbb04509efc6cf740774d1de4d42a36291d9133d9353bd4d4afa2b41635a",
+}
+
 # train() on braess5 with CURVE_CONFIG, one row per update:
 # (mean_eval_ttt, policy_loss, value_loss, clip_fraction, best_eval_ttt)
 CURVE_CONFIG = TrainConfig(total_steps=384, n_steps=128, n_envs=4, seed=5)
@@ -79,6 +88,15 @@ def test_trace_csv_bytes(tmp_path):
                  "--out", str(out)]) == EXIT_OK
     digest = hashlib.sha256((out / "trace_seed0.csv").read_bytes()).hexdigest()
     assert digest == TRACE_SHA256
+
+
+@pytest.mark.parametrize("name,controller", list(FREE_FLOW_TRACE_SHA256))
+def test_free_flow_trace_csv_bytes(tmp_path, name, controller):
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", name, "--controller", controller,
+                 "--seed", "0", "--out", str(out)]) == EXIT_OK
+    digest = hashlib.sha256((out / "trace_seed0.csv").read_bytes()).hexdigest()
+    assert digest == FREE_FLOW_TRACE_SHA256[name, controller]
 
 
 @pytest.fixture(scope="module")

@@ -1,15 +1,16 @@
 """CLI commands, manifests, byte-identical replay, heatmap SVG output."""
 
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from headwayctl.harness import EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, main
+from headwayctl.harness import EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, main, write_csv
 from headwayctl.policies import (
     OBS_SPEC_VERSION,
     CheckpointError,
@@ -33,6 +34,37 @@ def short_scenario(tmp_path):
 
 def read_bytes_of_csvs(directory):
     return {p.name: p.read_bytes() for p in sorted(Path(directory).glob("*.csv"))}
+
+
+# A CSV cell as the commands write them: an int, a float (repr switches to
+# exponent notation below 1e-4 and from 1e16 on) or a summary label; a table
+# is a header and rows of its width.
+CSV_CELLS = st.one_of(st.integers(-10**20, 10**20), st.floats(), st.sampled_from(["mean", "std"]))
+CSV_TABLES = st.integers(1, 9).flatmap(lambda width: st.tuples(
+    st.lists(st.sampled_from(["seed", "ttt", "mean_ttt"]), min_size=width, max_size=width),
+    st.lists(st.lists(CSV_CELLS, min_size=width, max_size=width), max_size=6)))
+
+
+@pytest.fixture(scope="module")
+def csv_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("write_csv")
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(table=CSV_TABLES)
+@example(table=(["seed", "ttt", "ttt", "ttt"],
+                [[-0.0, 5e-324, 1e-5, 1e16], [0, 1e-4, 9999999999999998.0, "mean"]]))
+def test_write_csv_gives_the_bytes_of_csv_writer(csv_folder, table):
+    """``write_csv`` writes ``str`` of each cell, comma-separated, each row
+    ended by CRLF: for numbers and labels that is what ``csv.writer`` writes,
+    byte for byte."""
+    header, rows = table
+    write_csv(csv_folder / "fast.csv", header, rows)
+    with open(csv_folder / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert (csv_folder / "fast.csv").read_bytes() == (csv_folder / "reference.csv").read_bytes()
 
 
 class TestSimulate:
