@@ -358,32 +358,36 @@ class TrafficEnv:
                              f"is past its {self._n_steps} steps; reset first")
 
     def _check_state(self) -> None:
-        """Zero the float noise below zero, then refuse states that should be
-        unreachable: non-finite, beyond the negative tolerance or above jam."""
+        """Refuse an unreachable state: a count beyond the negative tolerance,
+        then a non-finite value, then a link above jam. Otherwise zero the
+        float noise below zero (x < 0 becomes 0.0, so -0.0 stays -0.0)."""
         # One pass settles the usual case: nothing negative or NaN, no queue
         # infinite and no link above jam. Counts are then non-negative, so a
-        # link's total is infinite exactly when one of its counts is, and the
-        # jam test refuses it. Any other state takes the checks below.
-        counts = self.counts
-        human, auto = self.queues.tolist()
+        # link's total is infinite exactly when one of its counts is.
+        counts, queues = self.counts, self.queues
+        human, auto = queues.tolist()
+        low = np.minimum.reduce(counts, axis=None)
         over = np.add.reduce(counts, axis=(1, 2)) - self._jam_count
-        if (0.0 <= human < np.inf and 0.0 <= auto < np.inf
-                and np.minimum.reduce(counts, axis=None) >= 0.0
+        if (0.0 <= human < np.inf and 0.0 <= auto < np.inf and low >= 0.0
                 and not np.logical_or.reduce(over > self._jam_tolerance)):
             return
-        for arr in (self.counts, self.queues):
-            if arr.min() >= 0.0:  # nothing negative and no NaN: nothing to scrub
-                continue
-            bad = arr < 0.0
-            if bad.any():
-                worst = arr[bad].min()
-                if worst < -_NEGATIVE_TOL:
-                    raise InvariantViolation(self._diagnostic(f"negative count {worst}"))
-                arr[bad] = 0.0
-        if not (np.isfinite(self.counts).all() and np.isfinite(self.queues).all()):
+        # A miss, most often noise such as -1e-13 left on drained cells. The
+        # worst count is the most negative, NaN aside (low is NaN if any is).
+        negative = [x for x in (human, auto) if x < 0.0]
+        for worst in (low if low == low else np.fmin.reduce(counts, axis=None),
+                      min(negative, default=0.0)):
+            if worst < -_NEGATIVE_TOL:
+                raise InvariantViolation(self._diagnostic(f"negative count {worst}"))
+        # No count is -inf now, so their maximum is below inf unless one is inf or NaN.
+        if not (-np.inf < human < np.inf and -np.inf < auto < np.inf
+                and np.maximum.reduce(counts, axis=None) < np.inf):
             raise InvariantViolation(self._diagnostic("non-finite state"))
-        over = self.counts.sum(axis=(1, 2)) - self._jam_count
-        if (over > self._jam_tolerance).any():
+        if negative:
+            np.copyto(queues, 0.0, where=queues < 0.0)
+        if low < 0.0:  # the jam test reads the scrubbed totals
+            np.copyto(counts, 0.0, where=counts < 0.0)
+            over = np.add.reduce(counts, axis=(1, 2)) - self._jam_count
+        if np.logical_or.reduce(over > self._jam_tolerance):
             raise InvariantViolation(self._diagnostic("link above jam density"))
 
     def _diagnostic(self, message: str) -> str:

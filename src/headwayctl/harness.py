@@ -30,9 +30,10 @@ from .heatmap import write_heatmap
 from .network import ConfigError
 from .policies import CheckpointError, make_controller, save_checkpoint
 from .ppo import LEARNING_CURVE_HEADER, TrainConfig, evaluate_policy, train
-from .scenario import Scenario, load_scenario, scenario_to_dict
+from .scenario import Scenario, load_scenario, read_document, scenario_to_dict
 
 MANIFEST_NAME = "manifest.json"
+MANIFEST_FORMAT = "headwayctl-manifest"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -89,7 +90,7 @@ def _write_manifest(out_dir: FsPath, options: dict, scenario: Scenario) -> None:
     """Replay reads ``argv``, ``scenario_sha256`` and ``input_sha256``;
     ``provenance`` only records what wrote the manifest."""
     doc = {
-        "format": "headwayctl-manifest",
+        "format": MANIFEST_FORMAT,
         "argv": _argv(options),
         "scenario_sha256": _scenario_sha256(scenario),
         "input_sha256": _input_sha256(options),
@@ -337,12 +338,7 @@ def _replay(parser: argparse.ArgumentParser, manifest: str, command: str, out: s
     meets every check the command line makes and no option takes a default
     the run did not; and the scenario and every other file the line names
     must still hash as recorded."""
-    try:
-        doc = json.loads(FsPath(manifest).read_text())
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
-        raise ConfigError(f"cannot read manifest {manifest}: {exc}") from None
-    if not (isinstance(doc, dict) and doc.get("format") == "headwayctl-manifest"):
-        raise ConfigError(f"not a run manifest: {manifest}")
+    doc = read_document(manifest, "run manifest", ConfigError, MANIFEST_FORMAT)
     stored = doc.get("argv")
     if not (isinstance(stored, list) and stored and all(isinstance(a, str) for a in stored)):
         raise ConfigError(f"manifest {manifest} has no argv, a non-empty list of strings; "

@@ -17,6 +17,7 @@ import numpy as np
 from .engine import observation_size
 from .network import ConfigError, Network
 from .nn import init_layers, mlp_forward
+from .scenario import numbers, read_document
 
 CHECKPOINT_FORMAT = "headwayctl-policy"
 OBS_SPEC_VERSION = 1
@@ -93,23 +94,18 @@ def save_checkpoint(params: PolicyParams, path: str | FsPath) -> None:
 
 
 def load_checkpoint(path: str | FsPath) -> PolicyParams:
-    try:
-        doc = json.loads(FsPath(path).read_text())
-    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"not a policy checkpoint: {path}")
+    doc = read_document(path, "policy checkpoint", CheckpointError, CHECKPOINT_FORMAT)
     version = doc.get("obs_version", OBS_SPEC_VERSION)
     if type(version) is not int or version != OBS_SPEC_VERSION:
         raise CheckpointError(f"checkpoint observation spec version {version!r} "
                               f"!= {OBS_SPEC_VERSION}: {path}")
     try:
         params = PolicyParams(
-            layers=[(_numbers(l["w"], 2, f"layer {i} weights"),
-                     _numbers(l["b"], 1, f"layer {i} bias")) for i, l in enumerate(doc["layers"])],
-            log_std=_numbers(doc["log_std"], 1, "log_std"),
-            beta_min_m=float(_numbers(doc["beta_min_m"], 0, "beta_min_m")),
-            beta_max_m=float(_numbers(doc["beta_max_m"], 0, "beta_max_m")),
+            layers=[(numbers(l["w"], 2, f"layer {i} weights"),
+                     numbers(l["b"], 1, f"layer {i} bias")) for i, l in enumerate(doc["layers"])],
+            log_std=numbers(doc["log_std"], 1, "log_std"),
+            beta_min_m=numbers(doc["beta_min_m"], 0, "beta_min_m"),
+            beta_max_m=numbers(doc["beta_max_m"], 0, "beta_max_m"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"malformed checkpoint: {path}: {exc}") from exc
@@ -118,16 +114,6 @@ def load_checkpoint(path: str | FsPath) -> PolicyParams:
         raise CheckpointError(f"checkpoint layer shape mismatch in {path}")
     _check_structure(params, path)
     return params
-
-
-def _numbers(value, ndim: int, name: str) -> np.ndarray:
-    """A JSON number (``ndim`` 0) or an ``ndim``-D list of them, as floats; a
-    bool, a string, a ragged list or another depth raises."""
-    leaves = np.array(value, dtype=object)
-    if leaves.ndim != ndim or not all(type(x) in (int, float) for x in leaves.flat):
-        want = f"a {ndim}-D list of numbers" if ndim else "a number"
-        raise TypeError(f"{name} must be {want}, got {value!r:.60}")
-    return np.array(value, dtype=float)
 
 
 def _check_structure(params: PolicyParams, path) -> None:

@@ -223,11 +223,19 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def numbers(value, ndim: int, name: str):
+    """A JSON number as a float (``ndim`` 0) or an ``ndim``-D list of them as an
+    array; a bool, a string, a ragged list or another depth raises TypeError."""
+    leaves = np.array(value, dtype=object)
+    if leaves.ndim != ndim or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                                      for x in leaves.flat):
+        want = f"a {ndim}-D list of numbers" if ndim else "a number"
+        raise TypeError(f"{name} must be {want}, got {value!r:.60}")
+    return np.array(value, dtype=float) if ndim else float(value)
+
+
 def _real(value, name: str) -> float:
-    """A JSON number: an int or a float, not a bool or a numeric string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    return numbers(value, 0, name)
 
 
 def _name(value, name: str) -> str:
@@ -301,27 +309,36 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and validate a scenario; any bad field raises ConfigError."""
     try:
-        return _scenario_from_dict(data)
+        links = tuple(Link(**{attribute: parser(entry[key], f"link {i} {key}")
+                              for key, attribute, parser in _LINK_FIELDS})
+                      for i, entry in enumerate(data["network"]["links"]))
+        values = {"od": {}, "demand": {}, "network": {}, "sim": {}}
+        for section, key, owner, attribute, parser, optional in _FIELDS:
+            if key in data[section] or not optional:
+                values[owner][attribute] = parser(data[section][key], f"{section}.{key}")
+        network = Network(links=links, od_pairs=(ODPair(**values["od"]),), **values["network"])
+        return Scenario(network, DemandProfile(**values["demand"]), SimConfig(**values["sim"]))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"malformed scenario document: {exc}") from exc
 
 
-def _scenario_from_dict(data: dict) -> Scenario:
-    links = tuple(Link(**{attribute: parser(entry[key], f"link {i} {key}")
-                          for key, attribute, parser in _LINK_FIELDS})
-                  for i, entry in enumerate(data["network"]["links"]))
-    values = {"od": {}, "demand": {}, "network": {}, "sim": {}}
-    for section, key, owner, attribute, parser, optional in _FIELDS:
-        if key in data[section] or not optional:
-            values[owner][attribute] = parser(data[section][key], f"{section}.{key}")
-    network = Network(links=links, od_pairs=(ODPair(**values["od"]),), **values["network"])
-    return Scenario(network, DemandProfile(**values["demand"]), SimConfig(**values["sim"]))
-
-
 def save_scenario(scenario: Scenario, path: str | FsPath) -> None:
     FsPath(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+
+
+def read_document(path: str | FsPath, what: str, error: type, format: str | None) -> dict:
+    """The JSON object in the file at ``path``, a ``what``; a file that cannot
+    be read or decoded, or whose ``format`` key is not ``format`` (unless that
+    is None), raises ``error``."""
+    try:
+        doc = json.loads(FsPath(path).read_text())
+    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict) or format is not None and doc.get("format") != format:
+        raise error(f"not a {what}: {path}")
+    return doc
 
 
 def load_scenario(spec: str | FsPath) -> Scenario:
@@ -329,8 +346,4 @@ def load_scenario(spec: str | FsPath) -> Scenario:
     name = str(spec)
     if name in BUILTIN_SCENARIOS:
         return BUILTIN_SCENARIOS[name]()
-    try:
-        data = json.loads(FsPath(spec).read_text())
-    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
-        raise ConfigError(f"cannot read scenario {spec}: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(read_document(spec, "scenario", ConfigError, None))

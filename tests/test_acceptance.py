@@ -1,10 +1,11 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``python3 -m pytest tests/test_acceptance.py -v -s`` to see every
-line. Criterion 5 is expected to fail: in this model the min-headway
-baseline weakly dominates the uniform baseline whenever congestion exists
-(see the engine's monotone dependence on critical density); the test states
-the criterion faithfully and reports the measured gap.
+line. Criterion 5 is expected to fail: on braess5's defaults the min-headway
+baseline beats the uniform baseline; the test states the criterion
+faithfully and reports the measured gap. That is a property of braess5's
+defaults, not of equal rationality factors in general: on
+``scenarios/braess5_min_loses.json`` min headway loses (tests/test_findings.py).
 """
 
 import math
@@ -174,9 +175,9 @@ def test_criterion_5_braess_directionality():
            f"({100 * (mean_m - mean_u) / mean_u:+.2f}%), {elapsed:.1f}s")
     assert ok, (
         f"min-headway baseline undercuts uniform: {mean_m:.6e} < {mean_u:.6e}. "
-        "Known model-level limitation: with equal rationality factors the "
-        "min action scales every critical density by the same factor, which "
-        "weakly dominates at every state; see the decisions ledger."
+        "Known model-level finding: on braess5's defaults the min action, which "
+        "scales every critical density by the same factor, beats uniform; with "
+        "equal rationality factors elsewhere it can lose (tests/test_findings.py)."
     )
 
 

@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from headwayctl.engine import InvariantViolation, TrafficEnv, run_episode
+from headwayctl.engine import _NEGATIVE_TOL, InvariantViolation, TrafficEnv, run_episode
 from headwayctl.network import ConfigError, DemandProfile, Link, Network, ODPair
 from headwayctl.policies import min_headway_policy, uniform_headway_policy
 from headwayctl.scenario import Scenario, SimConfig, braess5_scenario
@@ -222,6 +224,91 @@ class TestInvariantGuards:
         env.counts[0, 0, :] = -1e-9
         env.step_sim()
         assert env.counts.min() == 0.0
+
+
+def two_pass_check(env):
+    """The state check as it was before it became one pass: the same first
+    pass, then on a miss every test again after the scrub."""
+    counts = env.counts
+    human, auto = env.queues.tolist()
+    over = np.add.reduce(counts, axis=(1, 2)) - env._jam_count
+    if (0.0 <= human < np.inf and 0.0 <= auto < np.inf
+            and np.minimum.reduce(counts, axis=None) >= 0.0
+            and not np.logical_or.reduce(over > env._jam_tolerance)):
+        return
+    for arr in (env.counts, env.queues):
+        if arr.min() >= 0.0:  # nothing negative and no NaN: nothing to scrub
+            continue
+        bad = arr < 0.0
+        if bad.any():
+            worst = arr[bad].min()
+            if worst < -_NEGATIVE_TOL:
+                raise InvariantViolation(env._diagnostic(f"negative count {worst}"))
+            arr[bad] = 0.0
+    if not (np.isfinite(env.counts).all() and np.isfinite(env.queues).all()):
+        raise InvariantViolation(env._diagnostic("non-finite state"))
+    over = env.counts.sum(axis=(1, 2)) - env._jam_count
+    if (over > env._jam_tolerance).any():
+        raise InvariantViolation(env._diagnostic("link above jam density"))
+
+
+MID_EPISODE = TestInvariantGuards().env_mid_episode()
+N_COUNTS = MID_EPISODE.counts.size
+# Values a state may hold: exact and signed zero, noise within and beyond the
+# negative tolerance, non-finite values, and (as ulp offsets, resolved per
+# element) the jam count of the element's link.
+SPECIAL = st.one_of(
+    st.sampled_from([0.0, -0.0, -1e-13, -1e-7, -2e-6, np.nan, np.inf, -np.inf]),
+    st.integers(-4, 4).map(lambda ulps: ("jam", ulps)),
+)
+ORDINARY = st.floats(0.0, 1e5, allow_nan=False, allow_infinity=False)
+
+
+def at_jam(element, ulps):
+    """The jam count of the link holding flat counts element ``element`` (a
+    queue takes link 0's), moved by ``ulps`` units in the last place."""
+    link = element // (N_COUNTS // MID_EPISODE.n_links) if element < N_COUNTS else 0
+    value = MID_EPISODE._jam_count[link]
+    for _ in range(abs(ulps)):
+        value = np.nextafter(value, np.inf if ulps > 0 else -np.inf)
+    return float(value)
+
+
+def outcome(check, counts, queues):
+    """The reason a check refuses the state (the text before its time), or
+    the bytes of the counts and queues it leaves."""
+    env = MID_EPISODE
+    env.counts, env.queues = counts.copy(), queues.copy()
+    try:
+        check(env)
+    except InvariantViolation as exc:
+        return str(exc).split(" at t=")[0]
+    return env.counts.tobytes(), env.queues.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(st.lists(ORDINARY, min_size=N_COUNTS + 2, max_size=N_COUNTS + 2),
+       st.lists(st.tuples(st.integers(0, N_COUNTS + 1), SPECIAL), max_size=6))
+def test_one_pass_state_check_matches_the_two_pass_one(base, overrides):
+    # Each outcome is the two-pass check's: the same refusal, in the same
+    # order, or the same scrubbed arrays bit for bit, -0.0 included.
+    values = np.array(base)
+    for element, value in overrides:
+        values[element] = at_jam(element, value[1]) if isinstance(value, tuple) else value
+    counts = values[:N_COUNTS].reshape(MID_EPISODE.counts.shape)
+    queues = values[N_COUNTS:]
+    assert (outcome(TrafficEnv._check_state, counts, queues)
+            == outcome(two_pass_check, counts, queues))
+
+
+def test_the_jam_test_reads_the_scrubbed_counts():
+    # Link 1 lies just under jam plus its tolerance until the scrub zeroes
+    # its noise of -1e-7, which puts it just over.
+    env, link = MID_EPISODE, 1
+    counts = np.zeros_like(env.counts)
+    counts[link, 0] = env._jam_count[link] + env._jam_tolerance[link] + 5e-8, -1e-7
+    for check in (TrafficEnv._check_state, two_pass_check):
+        assert outcome(check, counts, np.zeros(2)) == "link above jam density"
 
 
 class TestEpisodeEnd:

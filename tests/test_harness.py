@@ -137,8 +137,9 @@ class TestSimulate:
 
 
 class TestUnreadablePaths:
-    """A path that is a directory, is not UTF-8, or (for --out) names a file
-    exits with its documented code instead of a traceback."""
+    """A path that is a directory, is not UTF-8, holds a JSON document that is
+    not an object or holds no JSON, or (for --out) names a file, exits with its
+    documented code instead of a traceback."""
 
     @pytest.mark.parametrize("argv, code", [
         (["simulate", "--out", "{file}"], EXIT_USAGE),
@@ -150,14 +151,25 @@ class TestUnreadablePaths:
         (["simulate", "--controller", "policy:{binary}"], EXIT_CHECKPOINT),
         (["simulate", "--from-manifest", "{dir}"], EXIT_USAGE),
         (["simulate", "--from-manifest", "{binary}"], EXIT_USAGE),
+        (["simulate", "--scenario", "{list}"], EXIT_USAGE),
+        (["simulate", "--scenario", "{brace}"], EXIT_USAGE),
+        (["simulate", "--controller", "policy:{list}"], EXIT_CHECKPOINT),
+        (["simulate", "--controller", "policy:{brace}"], EXIT_CHECKPOINT),
+        (["simulate", "--from-manifest", "{list}"], EXIT_USAGE),
+        (["simulate", "--from-manifest", "{brace}"], EXIT_USAGE),
     ], ids=["out-file", "scenario-dir", "scenario-binary", "trace-dir", "trace-binary",
-            "checkpoint-dir", "checkpoint-binary", "manifest-dir", "manifest-binary"])
+            "checkpoint-dir", "checkpoint-binary", "manifest-dir", "manifest-binary",
+            "scenario-list", "scenario-not-json", "checkpoint-list", "checkpoint-not-json",
+            "manifest-list", "manifest-not-json"])
     def test_exit_code(self, argv, code, tmp_path):
         paths = {"file": tmp_path / "file", "dir": tmp_path / "dir",
-                 "binary": tmp_path / "binary.json"}
+                 "binary": tmp_path / "binary.json", "list": tmp_path / "list.json",
+                 "brace": tmp_path / "brace.json"}
         paths["file"].write_text("")
         paths["dir"].mkdir()
         paths["binary"].write_bytes(b"\xff\xfe{}")
+        paths["list"].write_text("[1, 2]")
+        paths["brace"].write_text("{")
         argv = [arg.format(**paths) for arg in argv]
         out = tmp_path / "out"
         if "--out" not in argv:

@@ -8,7 +8,8 @@ values off ``TrainConfig()`` and network and env values in its exact-count
 checks; tests evaluate those checks against an empty report and against one
 traced call of each workload, whose counts must match. Another test
 pins every value the program lets a caller set, so that a new knob fails by
-name, and one pins the scenario format's keys the same way. The last one
+name, one pins the scenario format's keys the same way, and one finds JSON
+decoded in a single function. The last one
 checks that the repo's pytest settings report a failing Hypothesis test as a
 failure and go on to the next test.
 """
@@ -213,6 +214,31 @@ def test_scenario_keys():
     keys += [f"{section}.{key}" for section in doc for key in doc[section] if key != "links"]
     assert keys == SCENARIO_KEYS
     assert all(list(link) == list(doc["network"]["links"][0]) for link in doc["network"]["links"])
+
+
+def json_decoders(tree: ast.AST, function: str = "") -> list[str]:
+    """The functions under ``tree``, by name, that call ``json.load`` or
+    ``json.loads``; a call outside any function counts as ``""``."""
+    names = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names += json_decoders(node, node.name)
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("load", "loads")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+            names.append(function)
+        names += json_decoders(node, function)
+    return names
+
+
+def test_json_is_decoded_in_one_function():
+    """The scenario, the checkpoint and the manifest are read by one function,
+    so a new hand-rolled reader fails here by name."""
+    found = []
+    for path in sorted((ROOT / "src" / "headwayctl").glob("*.py")):
+        found += [f"{path.stem}.{name}" for name in json_decoders(ast.parse(path.read_text()))]
+    assert found == ["scenario.read_document"]
 
 
 def test_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
