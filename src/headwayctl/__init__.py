@@ -28,10 +28,8 @@ from .policies import (
     PolicyParams,
     load_checkpoint,
     make_controller,
-    min_headway_policy,
     policy_act,
     save_checkpoint,
-    uniform_headway_policy,
 )
 from .ppo import TrainConfig, compute_gae, evaluate_policy, train
 from .routing import logit_update, step_shares

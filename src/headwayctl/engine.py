@@ -24,15 +24,14 @@ operations, in the same order, as a per-cell loop would.
 
 A network has one O/D pair: one (human, auto) origin queue and one
 (2, n_paths) share array. ``step_sim`` writes its row into the episode's
-trace and returns the step's reward; ``decision_step`` returns the
-observation after its action period. Episode state, the trace included,
-exists from ``reset(seed)`` on; one engine holds one episode at a time.
+trace and returns the step's reward; ``decision_step`` returns (obs, reward,
+done) for its action period. Episode state, the trace included, exists from
+``reset(seed)`` on; one engine holds one episode at a time.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,13 +49,6 @@ _CSV_BLOCK_STEPS = 25
 
 class InvariantViolation(RuntimeError):
     """The engine reached a state that should be unreachable."""
-
-
-@dataclass
-class StepResult:
-    obs: np.ndarray
-    reward: float
-    done: bool
 
 
 class EpisodeTrace:
@@ -186,13 +178,10 @@ class TrafficEnv:
     # ------------------------------------------------------------------
     # control
 
-    def apply_action(self, beta_a_m: np.ndarray) -> bool:
-        """Set per-link autonomous headways; returns True if clamping occurred.
-
-        Only legal at action-period boundaries, which are counted in steps.
-        Out-of-bounds components are clamped to the network's headway bounds;
-        non-finite ones are refused, so every headway the step sees is valid.
-        """
+    def apply_action(self, beta_a_m: np.ndarray) -> None:
+        """Set per-link autonomous headways, each clamped into the network's
+        headway bounds; non-finite ones are refused, so every headway the step
+        sees is valid. Only legal at action-period boundaries, counted in steps."""
         period = self._steps_per_action
         if self.step_index % period:
             raise ValueError(f"action applied at step {self.step_index}, "
@@ -203,10 +192,7 @@ class TrafficEnv:
         if not np.logical_and.reduce(np.isfinite(beta)):
             raise ValueError(f"action components must be finite, got {beta}")
         # np.clip's result, without its Python-level wrapper.
-        clipped = np.minimum(np.maximum(beta, self.net.beta_min_m), self.net.beta_max_m)
-        clamped = bool(np.logical_or.reduce(clipped != beta))
-        self.beta_a = clipped
-        return clamped
+        self.beta_a = np.minimum(np.maximum(beta, self.net.beta_min_m), self.net.beta_max_m)
 
     # ------------------------------------------------------------------
     # dynamics
@@ -302,13 +288,11 @@ class TrafficEnv:
         self.t_s = self.step_index * dt
         return reward
 
-    def decision_step(self, beta_a_m: np.ndarray) -> StepResult:
-        """Apply an action and run one full action period of sim steps.
-
-        The returned reward is the sum over the inner steps and ``obs`` the
-        observation after the last of them. The period ends early at the end
-        of the episode.
-        """
+    def decision_step(self, beta_a_m: np.ndarray) -> tuple[np.ndarray, float, bool]:
+        """Apply an action and run one action period of sim steps, cut short at
+        the end of the episode. Returns (obs, reward, done): the observation
+        after the period, the sum of its steps' rewards, and whether the
+        episode is over."""
         self._refuse_if_done()
         self.apply_action(beta_a_m)
         total = 0.0
@@ -316,7 +300,7 @@ class TrafficEnv:
             total += self.step_sim()
             if self.done:
                 break
-        return StepResult(obs=self.observe(), reward=total, done=self.done)
+        return self.observe(), total, self.done
 
     # ------------------------------------------------------------------
     # readouts
@@ -407,7 +391,7 @@ def run_episode(scenario: Scenario, controller, seed: int) -> EpisodeTrace:
     env = TrafficEnv(scenario)
     obs = env.reset(seed)
     while not env.done:
-        obs = env.decision_step(controller(obs)).obs
+        obs, _, _ = env.decision_step(controller(obs))
     return env.trace
 
 

@@ -46,19 +46,18 @@ def mlp_forward(layers, x):
     return h, caches
 
 
-def mlp_backward(layers, caches, dout):
-    """Gradients of sum(dout * output) w.r.t. every layer's W and b."""
-    grads = [None] * len(layers)
+def mlp_backward(layers, caches, dout, grads) -> None:
+    """Gradients of sum(dout * output) w.r.t. every layer's W and b, written
+    into ``grads``: one (dW, db) pair per layer, shaped like its (W, b)."""
     d = dout
     last = len(layers) - 1
     for i in range(last, -1, -1):
-        W, _ = layers[i]
-        h_in, a = caches[i]
+        (W, _), (h_in, a), (dW, db) = layers[i], caches[i], grads[i]
         if i < last:
             d = d * (1.0 - a * a)
-        grads[i] = (h_in.T @ d, d.sum(axis=0))
+        np.matmul(h_in.T, d, out=dW)
+        np.add.reduce(d, axis=0, out=db)
         d = d @ W.T
-    return grads
 
 
 def gaussian_log_prob(mean, log_std, x):

@@ -1,9 +1,10 @@
 """Headway controllers: the two constant baselines and the learned policy head.
 
-A controller maps an observation to a per-link autonomous headway vector.
-The learned policy is a Gaussian over pre-squash MLP outputs; it acts with
-the mean, squashed through a sigmoid so its actions always respect the
-headway bounds. Training samples around the mean itself (``ppo.train``).
+A controller maps an observation to a per-link autonomous headway vector;
+``make_controller`` builds one by name. The learned policy is a Gaussian
+over pre-squash MLP outputs; it acts with the mean, squashed through a
+sigmoid so its actions always respect the headway bounds. Training samples
+around the mean itself (``ppo.train``).
 """
 
 from __future__ import annotations
@@ -29,16 +30,6 @@ LOG_STD_INIT = 0.0
 
 class CheckpointError(ValueError):
     """Checkpoint file missing, unreadable, or structurally invalid."""
-
-
-def uniform_headway_policy(network: Network) -> np.ndarray:
-    """Baseline 1: autonomous headway pinned to the human headway everywhere."""
-    return np.full(network.n_links, network.beta_h_m)
-
-
-def min_headway_policy(network: Network) -> np.ndarray:
-    """Baseline 2: tightest admissible platooning on every link."""
-    return np.full(network.n_links, network.beta_min_m)
 
 
 def squash_to_bounds(u, beta_min: float, beta_max: float):
@@ -147,12 +138,12 @@ def _check_structure(params: PolicyParams, path) -> None:
 
 
 def make_controller(name: str, network: Network):
-    """Resolve a controller spec: 'uniform', 'min', or 'policy:<checkpoint>'."""
-    if name == "uniform":
-        action = uniform_headway_policy(network)
-        return lambda obs: action
-    if name == "min":
-        action = min_headway_policy(network)
+    """Resolve a controller spec: 'uniform', 'min', or 'policy:<checkpoint>'.
+    A baseline sets one network headway on every link: 'uniform' the human
+    one, 'min' the tightest admissible platooning."""
+    baselines = {"uniform": network.beta_h_m, "min": network.beta_min_m}
+    if name in baselines:
+        action = np.full(network.n_links, baselines[name])
         return lambda obs: action
     if name.startswith("policy:"):
         params = load_checkpoint(name.split(":", 1)[1])

@@ -73,9 +73,8 @@ class TrainConfig:
 
 @dataclass
 class ActorCritic:
-    """Policy and value networks over one parameter vector, ``params``: each
-    policy layer's W and b, the policy's log_std, then each value layer's W
-    and b. Every one of those arrays is a view of ``params``."""
+    """Policy and value networks over one parameter vector, ``params``. Every
+    array of ``policy`` and ``value_layers`` is a view of it (``split``)."""
 
     params: np.ndarray
     policy: PolicyParams
@@ -85,14 +84,28 @@ class ActorCritic:
     def new(cls, obs_dim: int, n_links: int, beta_min: float, beta_max: float,
             rng) -> "ActorCritic":
         policy = PolicyParams.new(obs_dim, n_links, rng, beta_min_m=beta_min, beta_max_m=beta_max)
-        value_layers = init_layers([obs_dim, *HIDDEN, 1], rng, out_scale=1.0)
-        arrays = [*chain(*policy.layers), policy.log_std, *chain(*value_layers)]
-        params = np.concatenate([a.ravel() for a in arrays])
-        views = [part.reshape(a.shape) for a, part in
-                 zip(arrays, np.split(params, np.cumsum([a.size for a in arrays])[:-1]))]
-        n = 2 * len(policy.layers)
-        policy.layers, policy.log_std = list(zip(views[:n:2], views[1:n:2])), views[n]
-        return cls(params, policy, list(zip(views[n + 1::2], views[n + 2::2])))
+        ac = cls(np.empty(0), policy, init_layers([obs_dim, *HIDDEN, 1], rng, out_scale=1.0))
+        drawn = [*chain(*policy.layers, *ac.value_layers), policy.log_std]
+        ac.params = np.empty(sum(a.size for a in drawn))
+        layers, log_std, values = ac.split(ac.params)
+        # Each drawn array is copied into its view; the pairing order is free.
+        for view, a in zip([*chain(*layers, *values), log_std], drawn):
+            view[...] = a
+        policy.layers, policy.log_std, ac.value_layers = layers, log_std, values
+        return ac
+
+    def split(self, vector: np.ndarray) -> tuple[list, np.ndarray, list]:
+        """Views of a vector laid out like ``params``: each policy layer's W and
+        b, the policy's log_std, then each value layer's W and b."""
+        end = 0
+
+        def view(a: np.ndarray) -> np.ndarray:
+            nonlocal end
+            end += a.size
+            return vector[end - a.size:end].reshape(a.shape)
+
+        return ([(view(W), view(b)) for W, b in self.policy.layers], view(self.policy.log_std),
+                [(view(W), view(b)) for W, b in self.value_layers])
 
     def value(self, obs_batch: np.ndarray) -> np.ndarray:
         v, _ = mlp_forward(self.value_layers, obs_batch)
@@ -148,7 +161,8 @@ class _ReturnNormalizer:
 def loss_and_grads(ac: ActorCritic, obs, actions_u, log_probs_old, advantages, returns):
     """PPO loss on one minibatch and its exact gradients.
 
-    Returns (loss, its gradient as one vector aligned with ``ac.params``, stats).
+    Returns (loss, its gradient as a fresh vector laid out like ``ac.params``,
+    stats); a caller may hold one gradient across calls.
     """
     B = obs.shape[0]
     mean, pol_caches = mlp_forward(ac.policy.layers, obs)
@@ -172,14 +186,14 @@ def loss_and_grads(ac: ActorCritic, obs, actions_u, log_probs_old, advantages, r
     unclipped_active = (surr1 <= surr2).astype(float)
     dratio = -(advantages * unclipped_active) / B
     dlogp = dratio * ratio
+    grads = np.empty_like(ac.params)
+    pol_grads, log_std_grad, val_grads = ac.split(grads)
     dmean, dlog_std = gaussian_log_prob_grads(mean, log_std, actions_u, dlogp)
-    pol_grads = mlp_backward(ac.policy.layers, pol_caches, dmean)
+    mlp_backward(ac.policy.layers, pol_caches, dmean, pol_grads)
+    np.copyto(log_std_grad, dlog_std)
 
     dv = (VALUE_COEF * 2.0 / B) * value_err
-    val_grads = mlp_backward(ac.value_layers, val_caches, dv[:, None])
-
-    grads = np.concatenate([g.ravel() for g in
-                            (*chain(*pol_grads), dlog_std, *chain(*val_grads))])
+    mlp_backward(ac.value_layers, val_caches, dv[:, None], val_grads)
 
     stats = {
         "policy_loss": float(policy_loss),
@@ -222,7 +236,7 @@ def evaluate_policy(scenario: Scenario, params: PolicyParams, seeds) -> list[flo
             for seed in seeds]
 
 
-def train(scenario: Scenario, config: TrainConfig = TrainConfig()):
+def train(scenario: Scenario, config: TrainConfig):
     """Train the headway policy; returns (best PolicyParams, learning curve).
 
     The curve has one row per update with the running best evaluation TTT;
@@ -278,10 +292,8 @@ def train(scenario: Scenario, config: TrainConfig = TrainConfig()):
             dones = np.zeros(E)
             for e, env in enumerate(envs):
                 beta = squash_to_bounds(u[e], net.beta_min_m, net.beta_max_m)
-                result = env.decision_step(beta)
-                rewards[e] = result.reward
-                dones[e] = float(result.done)
-                obs_now[e] = env.reset(next_episode_seed()) if result.done else result.obs
+                obs, rewards[e], dones[e] = env.decision_step(beta)
+                obs_now[e] = env.reset(next_episode_seed()) if dones[e] else obs
             rew_buf[:, step] = normalizer.update(rewards, dones)
             done_buf[:, step] = dones
 

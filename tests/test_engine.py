@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from headwayctl.engine import _NEGATIVE_TOL, InvariantViolation, TrafficEnv, run_episode
 from headwayctl.network import ConfigError, DemandProfile, Link, Network, ODPair
-from headwayctl.policies import min_headway_policy, uniform_headway_policy
 from headwayctl.scenario import Scenario, SimConfig, braess5_scenario
 
 
@@ -67,18 +66,18 @@ class TestReset:
 
 
 class TestApplyAction:
-    def test_out_of_bounds_clamped_and_flagged(self):
+    def test_out_of_bounds_clamped(self):
         env = TrafficEnv(braess5_scenario())
         env.reset(0)
-        action = np.array([0.5, 6.0, 6.0, 6.0, 20.0])
-        assert env.apply_action(action)
-        assert env.beta_a[0] == 1.0
-        assert env.beta_a[4] == 10.0
+        env.apply_action(np.array([0.5, 6.0, 6.0, 6.0, 20.0]))
+        assert env.beta_a.tolist() == [1.0, 6.0, 6.0, 6.0, 10.0]
 
-    def test_in_bounds_not_flagged(self):
+    def test_in_bounds_unchanged(self):
         env = TrafficEnv(braess5_scenario())
         env.reset(0)
-        assert not env.apply_action(uniform_headway_policy(env.net))
+        action = np.array([1.0, 2.5, 6.0, 9.75, 10.0])
+        env.apply_action(action)
+        assert env.beta_a.tobytes() == action.tobytes()
 
     def test_action_persists_through_period(self):
         env = TrafficEnv(braess5_scenario())
@@ -178,8 +177,8 @@ class TestInvariantGuards:
     def env_mid_episode(self):
         env = TrafficEnv(braess5_scenario())
         env.reset(3)
-        env.decision_step(uniform_headway_policy(env.net))
-        env.apply_action(uniform_headway_policy(env.net))
+        env.decision_step(np.full(5, 6.0))
+        env.apply_action(np.full(5, 6.0))
         return env
 
     def assert_violation(self, env, match):
@@ -319,7 +318,7 @@ class TestEpisodeEnd:
         env = TrafficEnv(sc)
         env.reset(3)
         while not env.done:
-            env.decision_step(uniform_headway_policy(sc.network))
+            env.decision_step(np.full(5, 6.0))
         return env
 
     def test_step_sim_after_the_last_step_raises(self):
@@ -339,7 +338,7 @@ class TestEpisodeEnd:
         env = self.finished_env()
         trace, count = env.trace, env.trace.count.copy()
         env.reset(1)
-        env.decision_step(uniform_headway_policy(env.net))
+        env.decision_step(np.full(5, 6.0))
         assert env.trace is not trace
         assert np.array_equal(trace.count, count)
 
@@ -378,7 +377,7 @@ class TestTotalTravelTime:
 
     def test_identity_with_cumulative_reward(self):
         sc = braess5_scenario()
-        trace = run_episode(sc, lambda obs: uniform_headway_policy(sc.network), seed=1)
+        trace = run_episode(sc, lambda obs: np.full(5, 6.0), seed=1)
         assert trace.ttt == pytest.approx(-trace.reward.sum() / sc.sim.reward_scale, rel=1e-12)
 
     def test_geometric_decay_oracle(self):
@@ -419,7 +418,7 @@ class TestObserve:
         half = sc.sim.n_steps // 2
         for _ in range(half):
             if env.t_s % sc.sim.action_period_s == 0:
-                env.apply_action(uniform_headway_policy(sc.network))
+                env.apply_action(np.full(5, 6.0))
             env.step_sim()
         obs = env.observe()
         assert obs[2 * env.n_links] == pytest.approx(0.5, rel=1e-12)
@@ -430,8 +429,7 @@ class TestObserve:
         obs = env.reset(0)
         rng = np.random.default_rng(3)
         while not env.done:
-            res = env.decision_step(rng.uniform(1.0, 10.0, size=5))
-            obs = res.obs
+            obs, _, _ = env.decision_step(rng.uniform(1.0, 10.0, size=5))
             assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
 
 
@@ -447,7 +445,7 @@ class TestWorkPerEpisode:
 
             monkeypatch.setattr(TrafficEnv, name, counted)
         sc = braess5_scenario()
-        run_episode(sc, lambda obs: uniform_headway_policy(sc.network), seed=0)
+        run_episode(sc, lambda obs: np.full(5, 6.0), seed=0)
         n_decisions = sc.sim.n_steps // sc.sim.steps_per_action
         # One observation at reset, then one per decision step.
         assert calls == {"reset": 1, "observe": n_decisions + 1}
@@ -457,8 +455,11 @@ class TestWorkPerEpisode:
         env.reset(4)
         rng = np.random.default_rng(4)
         while not env.done:
-            obs = env.decision_step(rng.uniform(1.0, 10.0, size=5)).obs
+            start = env.step_index
+            obs, reward, done = env.decision_step(rng.uniform(1.0, 10.0, size=5))
             assert obs.tobytes() == env.observe().tobytes()
+            assert reward == sum(env.trace.reward[start:env.step_index].tolist())
+            assert done is env.done
 
 
 class TestDeterminism:
@@ -482,7 +483,7 @@ class TestDeterminism:
         # the autonomy split must not affect the aggregate dynamics.
         mixed = braess5_scenario()  # autonomy fraction 0.8
         base = replace(mixed, demand=replace(mixed.demand, autonomy_fraction=0.0))
-        ctrl = lambda obs: uniform_headway_policy(base.network)
+        ctrl = lambda obs: np.full(5, 6.0)
         t0 = run_episode(base, ctrl, seed=7)
         t1 = run_episode(mixed, ctrl, seed=7)
         assert np.allclose(t0.count, t1.count, rtol=1e-12, atol=1e-9)
@@ -492,7 +493,7 @@ class TestDeterminism:
 class TestTraceShape:
     def test_rows_cover_links_and_steps(self):
         sc = braess5_scenario()
-        trace = run_episode(sc, lambda obs: min_headway_policy(sc.network), seed=0)
+        trace = run_episode(sc, lambda obs: np.full(5, 1.0), seed=0)
         assert trace.count.shape == (sc.sim.n_steps, sc.network.n_links)
         from headwayctl.engine import TRACE_CSV_HEADER, trace_to_csv_rows
 
@@ -514,7 +515,7 @@ class TestStepIndexTime:
         # clock would run an eighth step.
         sc = self.scenario(0.1, 0.7, 0.1)
         assert sc.sim.n_steps == 7
-        trace = run_episode(sc, lambda obs: uniform_headway_policy(sc.network), seed=0)
+        trace = run_episode(sc, lambda obs: np.full(5, 6.0), seed=0)
         assert np.array_equal(trace.t_s, np.arange(7) * 0.1)
 
     def test_trailing_partial_period_is_a_decision(self):
@@ -525,7 +526,7 @@ class TestStepIndexTime:
 
         def controller(obs):
             calls.append(obs)
-            return uniform_headway_policy(sc.network)
+            return np.full(5, 6.0)
 
         trace = run_episode(sc, controller, seed=0)
         assert len(calls) == 3 and trace.count.shape[0] == 25

@@ -9,11 +9,9 @@ from headwayctl.policies import (
     PolicyParams,
     load_checkpoint,
     make_controller,
-    min_headway_policy,
     policy_act,
     save_checkpoint,
     squash_to_bounds,
-    uniform_headway_policy,
 )
 from headwayctl.scenario import braess5_scenario
 
@@ -31,10 +29,10 @@ def zeroed_params(obs_dim=12, n_links=5):
 
 class TestBaselines:
     def test_uniform_equals_human_headway(self, net):
-        assert np.array_equal(uniform_headway_policy(net), np.full(5, 6.0))
+        assert np.array_equal(make_controller("uniform", net)(np.zeros(12)), np.full(5, 6.0))
 
     def test_min_equals_lower_bound(self, net):
-        assert np.array_equal(min_headway_policy(net), np.full(5, 1.0))
+        assert np.array_equal(make_controller("min", net)(np.zeros(12)), np.full(5, 1.0))
 
     def test_constant_across_observations(self, net):
         ctrl = make_controller("uniform", net)

@@ -59,7 +59,9 @@ class TestMLP:
             return float((out * dout).sum())
 
         _, caches = mlp_forward(layers, x)
-        grads = mlp_backward(layers, caches, dout)
+        # NaN-filled, so a slot that mlp_backward leaves unwritten fails.
+        grads = [(np.full_like(W, np.nan), np.full_like(b, np.nan)) for W, b in layers]
+        mlp_backward(layers, caches, dout, grads)
         h = 1e-6
         # Every seventh entry of each weight and bias, perturbed in place.
         for param, grad in zip(chain(*layers), chain(*grads)):
@@ -181,10 +183,42 @@ class TestClippedSurrogate:
         B = obs.shape[0]
         dlogp = -adv / B
         dmean, dlog_std = gaussian_log_prob_grads(mean, ac.policy.log_std, u, dlogp)
-        ref = mlp_backward(ac.policy.layers, caches, dmean)
-        # ac.params starts with the policy layers, then log_std.
-        flat_ref = np.concatenate([g.ravel() for g in chain(*ref)] + [dlog_std])
-        assert np.allclose(grads[:flat_ref.size], flat_ref, rtol=1e-10, atol=1e-12)
+        ref_layers, _, _ = ac.split(np.full_like(ac.params, np.nan))
+        mlp_backward(ac.policy.layers, caches, dmean, ref_layers)
+        got_layers, got_log_std, _ = ac.split(grads)
+        for got, ref in zip(chain(*got_layers), chain(*ref_layers)):
+            assert np.allclose(got, ref, rtol=1e-10, atol=1e-12)
+        assert np.allclose(got_log_std, dlog_std, rtol=1e-10, atol=1e-12)
+
+
+class TestParameterLayout:
+    def test_split_gives_the_views_the_actor_critic_holds(self):
+        ac, *_ = small_instance(3)
+        layers, log_std, values = ac.split(ac.params)
+        got = [*chain(*layers), log_std, *chain(*values)]
+        held = [*chain(*ac.policy.layers), ac.policy.log_std, *chain(*ac.value_layers)]
+
+        def place(a):
+            return a.__array_interface__["data"][0], a.shape, a.strides
+
+        assert [place(a) for a in got] == [place(a) for a in held]
+        # In that order the views tile params from its first entry to its last.
+        start = ac.params.__array_interface__["data"][0]
+        for a in got:
+            assert a.base is ac.params and place(a)[0] == start
+            start += a.nbytes
+        assert start == ac.params.__array_interface__["data"][0] + ac.params.nbytes
+
+    def test_a_gradient_is_unchanged_by_the_next_call(self):
+        # The gradient checks hold one gradient while they call loss_and_grads
+        # at perturbed parameters.
+        ac, obs, u, logp_old, adv, ret = small_instance(4)
+        _, grads, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret)
+        kept = grads.copy()
+        ac.params += np.random.default_rng(4).normal(0.0, 0.01, size=ac.params.size)
+        _, later, _ = loss_and_grads(ac, obs, u, logp_old, adv, ret)
+        assert grads.tobytes() == kept.tobytes()
+        assert not np.array_equal(later, grads)
 
 
 class TestGradientOracle:

@@ -8,8 +8,8 @@ values off ``TrainConfig()`` and network and env values in its exact-count
 checks; tests evaluate those checks against an empty report and against one
 traced call of each workload, whose counts must match. Another test
 pins every value the program lets a caller set, so that a new knob fails by
-name, one pins the scenario format's keys the same way, and one finds JSON
-decoded in a single function. The last one
+name, one pins the scenario format's keys the same way, one pins the names
+the package exports, and one finds JSON decoded in a single function. The last one
 checks that the repo's pytest settings report a failing Hypothesis test as a
 failure and go on to the next test.
 """
@@ -126,7 +126,6 @@ SETTABLE_VALUES = [
     "ppo.TrainConfig.seed",
     "ppo.TrainConfig.n_steps",
     "ppo.TrainConfig.n_envs",
-    "ppo.train.config",
     "scenario.SimConfig.dt_s",
     "scenario.SimConfig.horizon_s",
     "scenario.SimConfig.action_period_s",
@@ -214,6 +213,36 @@ def test_scenario_keys():
     keys += [f"{section}.{key}" for section in doc for key in doc[section] if key != "links"]
     assert keys == SCENARIO_KEYS
     assert all(list(link) == list(doc["network"]["links"][0]) for link in doc["network"]["links"])
+
+
+# The public names ``headwayctl`` exports, in the order its ``__init__`` binds them.
+EXPORTED_NAMES = [
+    "EpisodeTrace", "TrafficEnv", "run_episode",
+    "capacity", "congestion_state", "critical_density", "link_latency", "path_latency",
+    "sending_flow",
+    "ConfigError", "DemandProfile", "Link", "Network", "ODPair", "demand_at",
+    "PolicyParams", "load_checkpoint", "make_controller", "policy_act", "save_checkpoint",
+    "TrainConfig", "compute_gae", "evaluate_policy", "train",
+    "logit_update", "step_shares",
+    "Scenario", "SimConfig", "braess5_scenario", "braess8_scenario", "load_scenario",
+    "save_scenario",
+]
+
+
+def test_exported_names():
+    """The package exports only these names: one added to or removed from
+    ``__init__`` fails here by name, as a new settable value does."""
+    tree = ast.parse((ROOT / "src" / "headwayctl" / "__init__.py").read_text())
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [t.id for t in targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(node.name)
+    assert [name for name in found if not name.startswith("_")] == EXPORTED_NAMES
 
 
 def json_decoders(tree: ast.AST, function: str = "") -> list[str]:
