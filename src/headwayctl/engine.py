@@ -26,12 +26,11 @@ A network has one O/D pair: one (human, auto) origin queue and one
 (2, n_paths) share array. ``step_sim`` writes its row into the episode's
 trace and returns the step's reward; ``decision_step`` returns (obs, reward,
 done) for its action period. Episode state, the trace included, exists from
-``reset(seed)`` on; one engine holds one episode at a time.
+``reset(seed)`` on; one engine holds one episode at a time. ``harness``
+holds a trace's CSV form.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -42,9 +41,6 @@ from .scenario import Scenario
 
 # Tolerance for float bookkeeping noise when clamping counts at zero.
 _NEGATIVE_TOL = 1e-6
-
-# Time steps of a trace formatted at once when writing its CSV rows.
-_CSV_BLOCK_STEPS = 25
 
 
 class InvariantViolation(RuntimeError):
@@ -98,9 +94,6 @@ class TrafficEnv:
         self.net = net
         self.sim = scenario.sim
         self.n_links = net.n_links
-        # SimConfig derives these on every read; the step reads them often.
-        self._n_steps = self.sim.n_steps
-        self._steps_per_action = self.sim.steps_per_action
 
         self._jam_count = net.jam_density * net.length_m
         self._jam_tolerance = _NEGATIVE_TOL * np.maximum(self._jam_count, 1.0)
@@ -158,13 +151,11 @@ class TrafficEnv:
         self.injected = 0.0
         self.exited = 0.0
         # Fresh arrays, so a trace already handed out is never overwritten.
-        self.trace = EpisodeTrace(self._n_steps, self.n_links, self.sim.reward_scale)
+        self.trace = EpisodeTrace(self.sim.n_steps, self.n_links, self.sim.reward_scale)
 
         alpha = self.scenario.demand.autonomy_fraction
         for link_id, base in sorted(self.sim.initial_counts.items()):
-            count = base
-            if self.sim.initial_jitter > 0.0:
-                count = base * (1.0 + self.sim.initial_jitter * rng.uniform(-1.0, 1.0))
+            count = base * (1.0 + self.sim.initial_jitter * rng.uniform(-1.0, 1.0))
             # Split the cohort across the paths that traverse this link, per
             # the (uniform) shares, and across classes by the autonomy fraction.
             carriers = [p for p, links in enumerate(self._paths) if link_id in links]
@@ -182,7 +173,7 @@ class TrafficEnv:
         """Set per-link autonomous headways, each clamped into the network's
         headway bounds; non-finite ones are refused, so every headway the step
         sees is valid. Only legal at action-period boundaries, counted in steps."""
-        period = self._steps_per_action
+        period = self.sim.steps_per_action
         if self.step_index % period:
             raise ValueError(f"action applied at step {self.step_index}, "
                              f"not a multiple of {period} steps")
@@ -296,7 +287,7 @@ class TrafficEnv:
         self._refuse_if_done()
         self.apply_action(beta_a_m)
         total = 0.0
-        for _ in range(self._steps_per_action):
+        for _ in range(self.sim.steps_per_action):
             total += self.step_sim()
             if self.done:
                 break
@@ -326,12 +317,12 @@ class TrafficEnv:
 
     @property
     def done(self) -> bool:
-        return self.step_index >= self._n_steps
+        return self.step_index >= self.sim.n_steps
 
     @property
     def n_decisions(self) -> int:
         """Decision steps per episode, a trailing partial period included."""
-        return -(-self._n_steps // self._steps_per_action)
+        return -(-self.sim.n_steps // self.sim.steps_per_action)
 
     # ------------------------------------------------------------------
     # internal guards
@@ -339,7 +330,7 @@ class TrafficEnv:
     def _refuse_if_done(self) -> None:
         if self.done:
             raise ValueError(f"episode of seed {self.seed} is over: step {self.step_index} "
-                             f"is past its {self._n_steps} steps; reset first")
+                             f"is past its {self.sim.n_steps} steps; reset first")
 
     def _check_state(self) -> None:
         """Refuse an unreachable state: a count beyond the negative tolerance,
@@ -393,42 +384,3 @@ def run_episode(scenario: Scenario, controller, seed: int) -> EpisodeTrace:
     while not env.done:
         obs, _, _ = env.decision_step(controller(obs))
     return env.trace
-
-
-def _repr_each(values: np.ndarray) -> Iterator[str]:
-    """``repr`` of each float, computed once per distinct bit pattern, so
-    0.0 and -0.0 stay apart. Autonomy fractions, latencies and headways
-    repeat a few values across links and steps."""
-    bits, at = np.unique(values.view(np.int64), return_inverse=True)
-    text = list(map(repr, bits.view(float).tolist()))
-    return map(text.__getitem__, at.tolist())
-
-
-def trace_to_csv_rows(trace: EpisodeTrace) -> Iterator[tuple]:
-    """Flatten a trace to one row per (t, link), schema-stable.
-
-    Rows come as tuples of cell text, ``_CSV_BLOCK_STEPS`` time steps at a
-    time, so memory stays bounded. Each column of a block is formatted in one
-    pass: floats with ``repr`` and the integer ``congested`` column with
-    ``str``, the text ``csv.writer`` gives the same values. A time is
-    formatted once per step, the link ids once, and each repeating column
-    once per distinct value.
-    """
-    T, L = trace.count.shape
-    link_ids = list(map(str, range(L))) * _CSV_BLOCK_STEPS
-    for start in range(0, T, _CSV_BLOCK_STEPS):
-        block = slice(start, start + _CSV_BLOCK_STEPS)
-        times = [t for t in map(repr, trace.t_s[block].tolist()) for _ in range(L)]
-        count, density, autonomy, congested, flow, latency, beta = (
-            a[block].ravel() for a in (trace.count, trace.density, trace.autonomy,
-                                       trace.congested, trace.flow_vps, trace.latency_s,
-                                       trace.beta_a_m))
-        yield from zip(times, link_ids, map(repr, count.tolist()), map(repr, density.tolist()),
-                       _repr_each(autonomy), map(str, congested.tolist()),
-                       map(repr, flow.tolist()), _repr_each(latency), _repr_each(beta))
-
-
-TRACE_CSV_HEADER = [
-    "t_s", "link_id", "count", "density", "autonomy_fraction",
-    "s_l", "flow_vps", "latency_s", "beta_a_m",
-]

@@ -6,8 +6,11 @@ each other file the command line names; re-running with
 ``--from-manifest`` (plus a fresh ``--out``) parses that command line again
 and reproduces the CSV outputs byte for byte.
 
-Outputs are plain CSV and SVG only. Episodes run one after another, in
-seed order.
+``main`` runs every command in one sequence: parse or replay, load the
+scenario, run the command (which checks its inputs before it creates
+``--out``), write the manifest. Outputs are plain CSV and SVG only. The
+trace CSV is written here (``trace_to_csv_rows``), and ``heatmap`` reads
+back only that layout, for the same scenario.
 """
 
 from __future__ import annotations
@@ -19,13 +22,14 @@ import json
 import platform
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path as FsPath
 
 import numpy as np
 
 from . import __version__
-from .engine import TRACE_CSV_HEADER, run_episode, trace_to_csv_rows
+from .engine import EpisodeTrace, run_episode
 from .heatmap import write_heatmap
 from .network import ConfigError
 from .policies import CheckpointError, make_controller, save_checkpoint
@@ -38,6 +42,9 @@ MANIFEST_FORMAT = "headwayctl-manifest"
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CHECKPOINT = 3
+
+# Time steps of a trace formatted at once when writing its CSV rows.
+_CSV_BLOCK_STEPS = 25
 
 
 def write_csv(path: FsPath, header, rows) -> None:
@@ -52,6 +59,67 @@ def write_csv(path: FsPath, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(line % tuple(header))
         fh.writelines(line % tuple(row) for row in rows)
+
+
+def _repr_each(values: np.ndarray) -> Iterator[str]:
+    """``repr`` of each float, computed once per distinct bit pattern, so
+    0.0 and -0.0 stay apart. Autonomy fractions, latencies and headways
+    repeat a few values across links and steps."""
+    bits, at = np.unique(values.view(np.int64), return_inverse=True)
+    text = list(map(repr, bits.view(float).tolist()))
+    return map(text.__getitem__, at.tolist())
+
+
+def trace_to_csv_rows(trace: EpisodeTrace) -> Iterator[tuple]:
+    """Flatten a trace to one row per (t, link), schema-stable.
+
+    Rows come as tuples of cell text, ``_CSV_BLOCK_STEPS`` time steps at a
+    time, so memory stays bounded. Each column of a block is formatted in one
+    pass: floats with ``repr`` and the integer ``congested`` column with
+    ``str``, the text ``csv.writer`` gives the same values. A time is
+    formatted once per step, the link ids once, and each repeating column
+    once per distinct value.
+    """
+    T, L = trace.count.shape
+    link_ids = list(map(str, range(L))) * _CSV_BLOCK_STEPS
+    for start in range(0, T, _CSV_BLOCK_STEPS):
+        block = slice(start, start + _CSV_BLOCK_STEPS)
+        times = [t for t in map(repr, trace.t_s[block].tolist()) for _ in range(L)]
+        count, density, autonomy, congested, flow, latency, beta = (
+            a[block].ravel() for a in (trace.count, trace.density, trace.autonomy,
+                                       trace.congested, trace.flow_vps, trace.latency_s,
+                                       trace.beta_a_m))
+        yield from zip(times, link_ids, map(repr, count.tolist()), map(repr, density.tolist()),
+                       _repr_each(autonomy), map(str, congested.tolist()),
+                       map(repr, flow.tolist()), _repr_each(latency), _repr_each(beta))
+
+
+TRACE_CSV_HEADER = [
+    "t_s", "link_id", "count", "density", "autonomy_fraction",
+    "s_l", "flow_vps", "latency_s", "beta_a_m",
+]
+
+
+def _read_trace(path: str, scenario: Scenario) -> np.ndarray:
+    """The (step, link, column) cells of the trace CSV ``simulate`` writes for
+    ``scenario``: ``TRACE_CSV_HEADER``, then for each step k the links in id
+    order at ``t_s`` = the engine's ``k * dt_s`` (``repr`` round-trips it),
+    every cell finite. Any other file raises ``ConfigError``."""
+    sim, n_links = scenario.sim, scenario.network.n_links
+    try:
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        cells = np.array(rows, dtype=float).reshape(sim.n_steps, n_links, len(header))
+    except (OSError, UnicodeDecodeError, csv.Error, ValueError) as exc:
+        raise ConfigError(f"cannot read trace {path} as {sim.n_steps} steps of "
+                          f"{n_links} links: {exc}") from None
+    # Columns 0 and 1 are t_s and link_id once the header is the trace's.
+    if not (header == TRACE_CSV_HEADER and np.isfinite(cells).all()
+            and (cells[:, :, 1] == np.arange(n_links)).all()
+            and (cells[:, :, 0] == np.arange(sim.n_steps)[:, None] * sim.dt_s).all()):
+        raise ConfigError(f"trace {path} is not simulate's for this scenario: its header, links "
+                          f"0..{n_links - 1} in order at t_s = step * {sim.dt_s}, cells finite")
+    return cells
 
 
 def _scenario_sha256(scenario: Scenario) -> str:
@@ -86,7 +154,7 @@ def _input_sha256(options: dict) -> dict[str, str]:
     return digests
 
 
-def _write_manifest(out_dir: FsPath, options: dict, scenario: Scenario) -> None:
+def _write_manifest(options: dict, scenario: Scenario) -> None:
     """Replay reads ``argv``, ``scenario_sha256`` and ``input_sha256``;
     ``provenance`` only records what wrote the manifest."""
     doc = {
@@ -100,22 +168,8 @@ def _write_manifest(out_dir: FsPath, options: dict, scenario: Scenario) -> None:
             "written_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },
     }
-    (out_dir / MANIFEST_NAME).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _summary_rows(seeds, ttts, exits):
-    rows = [[s, t, e] for s, t, e in zip(seeds, ttts, exits)]
-    rows.append(["mean", float(np.mean(ttts)), float(np.mean(exits))])
-    rows.append(["std", float(np.std(ttts)), float(np.std(exits))])
-    return rows
-
-
-def _with_mu(scenario: Scenario, mu: float) -> Scenario:
-    return replace(scenario, sim=replace(scenario.sim, mu_h=mu, mu_a=mu))
-
-
-def _with_alpha(scenario: Scenario, alpha: float) -> Scenario:
-    return replace(scenario, demand=replace(scenario.demand, autonomy_fraction=alpha))
+    path = FsPath(options["out"]) / MANIFEST_NAME
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(options: dict) -> FsPath:
@@ -152,9 +206,8 @@ def _policy_column(scenario: Scenario, options: dict):
 # ----------------------------------------------------------------------
 # commands
 
-def cmd_simulate(options: dict) -> int:
+def cmd_simulate(options: dict, scenario: Scenario) -> None:
     """simulate and evaluate: one episode per seed; only simulate writes traces."""
-    scenario = load_scenario(options["scenario"])
     controller = make_controller(options["controller"], scenario.network)
     seeds = options["seeds"]
     out = _out_dir(options)
@@ -165,15 +218,14 @@ def cmd_simulate(options: dict) -> int:
             write_csv(out / f"trace_seed{seed}.csv", TRACE_CSV_HEADER, trace_to_csv_rows(trace))
     ttts = [t.ttt for t in traces]
     exits = [t.total_exited for t in traces]
-    write_csv(out / "summary.csv", ["seed", "ttt", "total_exited"],
-              _summary_rows(seeds, ttts, exits))
-    _write_manifest(out, options, scenario)
+    rows = [[s, t, e] for s, t, e in zip(seeds, ttts, exits)]
+    rows += [["mean", float(np.mean(ttts)), float(np.mean(exits))],
+             ["std", float(np.std(ttts)), float(np.std(exits))]]
+    write_csv(out / "summary.csv", ["seed", "ttt", "total_exited"], rows)
     print(f"{options['controller']}: mean TTT {np.mean(ttts):.1f} over {len(seeds)} seed(s)")
-    return EXIT_OK
 
 
-def cmd_train(options: dict) -> int:
-    scenario = load_scenario(options["scenario"])
+def cmd_train(options: dict, scenario: Scenario) -> None:
     config = _train_config(options)
     out = _out_dir(options)
     if options["budget"] == 0:
@@ -182,19 +234,16 @@ def cmd_train(options: dict) -> int:
     save_checkpoint(params, out / "checkpoint.json")
     write_csv(out / "learning_curve.csv", LEARNING_CURVE_HEADER,
               [[row[k] for k in LEARNING_CURVE_HEADER] for row in curve])
-    _write_manifest(out, options, scenario)
     if curve:
         print(f"trained {options['budget']} decision steps; "
               f"best eval TTT {curve[-1]['best_eval_ttt']:.1f}")
-    return EXIT_OK
 
 
-def cmd_sweep_mu(options: dict) -> int:
+def cmd_sweep_mu(options: dict, scenario: Scenario) -> None:
     mus = options["mu"]
     if not mus:
         raise ConfigError("empty mu list")
-    scenario = load_scenario(options["scenario"])
-    swept = [_with_mu(scenario, mu) for mu in mus]
+    swept = [replace(scenario, sim=replace(scenario.sim, mu_h=mu, mu_a=mu)) for mu in mus]
     policy_ttts = _policy_column(scenario, options)
     out = _out_dir(options)
 
@@ -203,16 +252,14 @@ def cmd_sweep_mu(options: dict) -> int:
         ttts = policy_ttts(sc)
         rows.append([mu, float(np.mean(ttts)), float(np.std(ttts)), len(ttts)])
     write_csv(out / "sweep_mu.csv", ["mu", "mean_ttt", "std_ttt", "n_seeds"], rows)
-    _write_manifest(out, options, scenario)
-    return EXIT_OK
 
 
-def cmd_sweep_alpha(options: dict) -> int:
+def cmd_sweep_alpha(options: dict, scenario: Scenario) -> None:
     alphas = options["alpha"]
     if not alphas:
         raise ConfigError("empty alpha list")
-    scenario = load_scenario(options["scenario"])
-    swept = [_with_alpha(scenario, alpha) for alpha in alphas]
+    swept = [replace(scenario, demand=replace(scenario.demand, autonomy_fraction=alpha))
+             for alpha in alphas]
     policy_ttts = _policy_column(scenario, options)
     uniform, minimum = (make_controller(name, scenario.network) for name in ("uniform", "min"))
     seeds = options["seeds"]
@@ -229,47 +276,14 @@ def cmd_sweep_alpha(options: dict) -> int:
               ["alpha", "policy_mean_ttt", "policy_std_ttt",
                "uniform_mean_ttt", "uniform_std_ttt", "min_mean_ttt", "min_std_ttt"],
               rows)
-    _write_manifest(out, options, scenario)
-    return EXIT_OK
 
 
-def cmd_heatmap(options: dict) -> int:
-    scenario = load_scenario(options["scenario"])
+def cmd_heatmap(options: dict, scenario: Scenario) -> None:
     if options["trace"] is None:
         raise ConfigError("heatmap needs --trace")
-    trace_path = FsPath(options["trace"])
-    try:
-        with open(trace_path, newline="") as fh:
-            records = list(csv.DictReader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"cannot read trace {trace_path}: {exc}") from None
-    if not records:
-        raise ConfigError("empty trace")
-    try:
-        t_s = np.array([float(r["t_s"]) for r in records])
-        links = np.array([int(r["link_id"]) for r in records])
-        density = np.array([float(r["density"]) for r in records])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"trace {trace_path}: missing or non-numeric column ({exc})") from None
-    if not (np.isfinite(t_s).all() and np.isfinite(density).all()):
-        raise ConfigError(f"trace {trace_path}: non-finite time or density")
-    n_links = scenario.network.n_links
-    if links.min() < 0 or links.max() >= n_links:
-        raise ConfigError(f"trace {trace_path} has link ids outside the scenario's "
-                          f"{n_links} links")
-    times, column = np.unique(t_s, return_inverse=True)
-    # A missing cell would be drawn as free flow and a repeated one would
-    # overwrite its twin, so each (t_s, link_id) must appear exactly once.
-    cells = column * n_links + links
-    if len(records) != len(times) * n_links or len(np.unique(cells)) != len(cells):
-        raise ConfigError(f"trace {trace_path} does not hold each (t_s, link_id) once: "
-                          f"{len(records)} rows for {len(times)} times x {n_links} links")
-    grid = np.zeros((n_links, len(times)))
-    grid[links, column] = density / scenario.network.jam_density[links]
-    out = _out_dir(options)
-    write_heatmap(grid, scenario.sim.dt_s, out / "heatmap.svg")
-    _write_manifest(out, options, scenario)
-    return EXIT_OK
+    density = _read_trace(options["trace"], scenario)[:, :, TRACE_CSV_HEADER.index("density")]
+    write_heatmap((density / scenario.network.jam_density).T, scenario.sim.dt_s,
+                  _out_dir(options) / "heatmap.svg")
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +401,10 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--from-manifest runs the stored command line; "
                                   f"drop {' '.join(stray)}")
             options = _replay(parser, manifest, options["command"], options["out"])
-        return _DISPATCH[options["command"]](options)
+        scenario = load_scenario(options["scenario"])
+        _DISPATCH[options["command"]](options, scenario)
+        _write_manifest(options, scenario)
+        return EXIT_OK
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT

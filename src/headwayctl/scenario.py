@@ -84,6 +84,9 @@ class SimConfig:
     # exponent, so mu is "per minute of latency" by default.
     latency_unit_s: float = 60.0
     reward_scale: float = 1e-3
+    # Whole numbers of steps, set by __post_init__ from the checked values.
+    n_steps: int = field(init=False, repr=False, compare=False)
+    steps_per_action: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("dt_s", "horizon_s", "action_period_s", "latency_unit_s", "reward_scale"):
@@ -95,22 +98,15 @@ class SimConfig:
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         # Whole numbers of steps, up to float rounding: 0.7 / 0.1 is 6.999...
-        for name in ("horizon_s", "action_period_s"):
+        for name, derived in (("horizon_s", "n_steps"), ("action_period_s", "steps_per_action")):
             steps = getattr(self, name) / self.dt_s
             whole = round(steps) if math.isfinite(steps) else 0
             if not (1 <= whole <= MAX_EPISODE_STEPS and math.isclose(steps, whole)):
                 raise ConfigError(f"{name} / dt_s = {steps} is not a whole number of steps "
                                   f"between 1 and the limit of {MAX_EPISODE_STEPS}")
+            object.__setattr__(self, derived, whole)
         if not 0.0 <= self.initial_jitter < 1.0:
             raise ConfigError("initial_jitter must lie in [0, 1)")
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.horizon_s / self.dt_s))
-
-    @property
-    def steps_per_action(self) -> int:
-        return int(round(self.action_period_s / self.dt_s))
 
 
 @dataclass(frozen=True)

@@ -495,7 +495,7 @@ class TestTraceShape:
         sc = braess5_scenario()
         trace = run_episode(sc, lambda obs: np.full(5, 1.0), seed=0)
         assert trace.count.shape == (sc.sim.n_steps, sc.network.n_links)
-        from headwayctl.engine import TRACE_CSV_HEADER, trace_to_csv_rows
+        from headwayctl.harness import TRACE_CSV_HEADER, trace_to_csv_rows
 
         rows = list(trace_to_csv_rows(trace))
         assert len(rows) == sc.sim.n_steps * sc.network.n_links

@@ -489,7 +489,8 @@ class TestHeatmap:
         assert code == EXIT_USAGE
 
     @pytest.mark.parametrize("edit", ["braess8 trace", "no density", "non-numeric", "nan",
-                                      "missing last row", "repeated cell", "one row"])
+                                      "missing last row", "repeated cell", "one row",
+                                      "missing last step", "link-major rows", "extra column"])
     def test_bad_trace_exit_2(self, edit, tmp_path):
         run = tmp_path / "run"
         scenario = "braess8" if edit == "braess8 trace" else "braess5"
@@ -513,11 +514,47 @@ class TestHeatmap:
             lines[6] = ",".join(cells[:3] + ["0.5"] + cells[4:])
         elif edit == "one row":
             lines = lines[:2]
+        elif edit == "missing last step":
+            lines = lines[:-5]
+        elif edit == "link-major rows":
+            # The same rows, each link's steps together: braess5 has 5 links.
+            lines = lines[:1] + [lines[1 + row] for link in range(5)
+                                 for row in range(link, len(lines) - 1, 5)]
+        elif edit == "extra column":
+            lines = [line + (",extra" if i == 0 else ",0") for i, line in enumerate(lines)]
         trace.write_text("\n".join(lines) + "\n")
         out = tmp_path / "hm"
         assert main(["heatmap", "--scenario", "braess5", "--trace", str(trace),
                      "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
+
+    def test_trace_of_another_time_step_exit_2(self, tmp_path):
+        """A copy of braess5 stepped every 30 s for 100 minutes has braess5's
+        200 steps, but not its times, so its trace is not one of braess5's."""
+        sc = braess5_scenario()
+        half_step = tmp_path / "half_step.json"
+        save_scenario(replace(sc, sim=replace(sc.sim, dt_s=30.0, horizon_s=6000.0)), half_step)
+        run, out = tmp_path / "run", tmp_path / "hm"
+        assert main(["simulate", "--scenario", str(half_step), "--out", str(run)]) == EXIT_OK
+        trace = str(run / "trace_seed0.csv")
+        assert main(["heatmap", "--scenario", "braess5", "--trace", trace,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert main(["heatmap", "--scenario", str(half_step), "--trace", trace,
+                     "--out", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize("dt_s", [0.1, 0.7, 1 / 3, 1e-3, 60.0, 123.456])
+    def test_reads_the_trace_simulate_writes(self, dt_s, tmp_path):
+        """Every time simulate writes, ``k * dt_s`` as ``repr`` gives it, reads
+        back as the same float."""
+        sc = braess5_scenario()
+        path = tmp_path / "sc.json"
+        save_scenario(replace(sc, sim=replace(sc.sim, dt_s=dt_s, horizon_s=7 * dt_s,
+                                              action_period_s=dt_s)), path)
+        run = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(path), "--out", str(run)]) == EXIT_OK
+        assert main(["heatmap", "--scenario", str(path), "--trace", str(run / "trace_seed0.csv"),
+                     "--out", str(tmp_path / "hm")]) == EXIT_OK
 
     def test_all_green_when_empty_network(self, tmp_path):
         from headwayctl.heatmap import heatmap_svg

@@ -9,7 +9,9 @@ checks; tests evaluate those checks against an empty report and against one
 traced call of each workload, whose counts must match. Another test
 pins every value the program lets a caller set, so that a new knob fails by
 name, one pins the scenario format's keys the same way, one pins the names
-the package exports, and one finds JSON decoded in a single function. The last one
+the package exports, one finds JSON decoded in a single function, and one
+finds the scenario loaded and the manifest written only by the CLI's run
+sequence. The last one
 checks that the repo's pytest settings report a failing Hypothesis test as a
 failure and go on to the next test.
 """
@@ -268,6 +270,30 @@ def test_json_is_decoded_in_one_function():
     for path in sorted((ROOT / "src" / "headwayctl").glob("*.py")):
         found += [f"{path.stem}.{name}" for name in json_decoders(ast.parse(path.read_text()))]
     assert found == ["scenario.read_document"]
+
+
+def callers(tree: ast.AST, callee: str, function: str = "") -> list[str]:
+    """The functions under ``tree``, by name, that call ``callee`` by its bare
+    name, once per call; a call outside any function counts as ``""``."""
+    names = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names += callers(node, callee, node.name)
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == callee):
+            names.append(function)
+        names += callers(node, callee, function)
+    return names
+
+
+def test_main_runs_every_command_in_one_sequence():
+    """``harness.main`` loads the scenario and writes the manifest for every
+    command, so no command does either; ``_replay`` loads the scenario only to
+    check its hash."""
+    tree = ast.parse((ROOT / "src" / "headwayctl" / "harness.py").read_text())
+    assert callers(tree, "load_scenario") == ["_replay", "main"]
+    assert callers(tree, "_write_manifest") == ["main"]
 
 
 def test_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
