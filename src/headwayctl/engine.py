@@ -337,15 +337,16 @@ class TrafficEnv:
         then a non-finite value, then a link above jam. Otherwise zero the
         float noise below zero (x < 0 becomes 0.0, so -0.0 stays -0.0)."""
         # One pass settles the usual case: nothing negative or NaN, no queue
-        # infinite and no link above jam. Counts are then non-negative, so a
-        # link's total is infinite exactly when one of its counts is.
+        # infinite and no link above jam. Links are summed once no count is
+        # negative, so no total is inf - inf, and one is inf only if a count is.
         counts, queues = self.counts, self.queues
         human, auto = queues.tolist()
         low = np.minimum.reduce(counts, axis=None)
-        over = np.add.reduce(counts, axis=(1, 2)) - self._jam_count
-        if (0.0 <= human < np.inf and 0.0 <= auto < np.inf and low >= 0.0
-                and not np.logical_or.reduce(over > self._jam_tolerance)):
-            return
+        if low >= 0.0:
+            over = np.add.reduce(counts, axis=(1, 2)) - self._jam_count
+            if (0.0 <= human < np.inf and 0.0 <= auto < np.inf
+                    and not np.logical_or.reduce(over > self._jam_tolerance)):
+                return
         # A miss, most often noise such as -1e-13 left on drained cells. The
         # worst count is the most negative, NaN aside (low is NaN if any is).
         negative = [x for x in (human, auto) if x < 0.0]
@@ -366,9 +367,11 @@ class TrafficEnv:
             raise InvariantViolation(self._diagnostic("link above jam density"))
 
     def _diagnostic(self, message: str) -> str:
+        with np.errstate(invalid="ignore"):  # a link may hold inf and -inf
+            totals = self.counts.sum(axis=(1, 2))
         return (
             f"{message} at t={self.t_s}s (step {self.step_index}, seed {self.seed}); "
-            f"link counts={self.counts.sum(axis=(1, 2))}, queues={self.queues.sum()}, "
+            f"link counts={totals}, queues={self.queues.sum()}, "
             f"beta_a={self.beta_a}"
         )
 

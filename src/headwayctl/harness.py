@@ -2,13 +2,13 @@
 
 Every command writes a ``manifest.json`` holding the canonical command line
 of its resolved options, a content hash of the scenario and the sha256 of
-each other file the command line names; re-running with
-``--from-manifest`` (plus a fresh ``--out``) parses that command line again
-and reproduces the CSV outputs byte for byte.
+each other file the command line names; ``replay MANIFEST --out DIR`` parses
+that command line again and reproduces the CSV outputs byte for byte.
 
-``main`` runs every command in one sequence: parse or replay, load the
-scenario, run the command (which checks its inputs before it creates
-``--out``), write the manifest. Outputs are plain CSV and SVG only. The
+``main`` runs every command in one sequence: parse the command line
+(argparse makes every refusal of one); load the scenario, or replay a
+manifest, which loads it; run the command (which checks its inputs before it
+creates ``--out``); write the manifest. Outputs are plain CSV and SVG only. The
 trace CSV is written here (``trace_to_csv_rows``), and ``heatmap`` reads
 back only that layout, for the same scenario.
 """
@@ -241,8 +241,6 @@ def cmd_train(options: dict, scenario: Scenario) -> None:
 
 def cmd_sweep_mu(options: dict, scenario: Scenario) -> None:
     mus = options["mu"]
-    if not mus:
-        raise ConfigError("empty mu list")
     swept = [replace(scenario, sim=replace(scenario.sim, mu_h=mu, mu_a=mu)) for mu in mus]
     policy_ttts = _policy_column(scenario, options)
     out = _out_dir(options)
@@ -256,8 +254,6 @@ def cmd_sweep_mu(options: dict, scenario: Scenario) -> None:
 
 def cmd_sweep_alpha(options: dict, scenario: Scenario) -> None:
     alphas = options["alpha"]
-    if not alphas:
-        raise ConfigError("empty alpha list")
     swept = [replace(scenario, demand=replace(scenario.demand, autonomy_fraction=alpha))
              for alpha in alphas]
     policy_ttts = _policy_column(scenario, options)
@@ -279,8 +275,6 @@ def cmd_sweep_alpha(options: dict, scenario: Scenario) -> None:
 
 
 def cmd_heatmap(options: dict, scenario: Scenario) -> None:
-    if options["trace"] is None:
-        raise ConfigError("heatmap needs --trace")
     density = _read_trace(options["trace"], scenario)[:, :, TRACE_CSV_HEADER.index("density")]
     write_heatmap((density / scenario.network.jam_density).T, scenario.sim.dt_s,
                   _out_dir(options) / "heatmap.svg")
@@ -298,7 +292,11 @@ def _int_list(text: str) -> list[int]:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    """Comma-separated values for ``--mu`` and ``--alpha``: at least one."""
+    values = [float(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
+    return values
 
 
 _DISPATCH = {
@@ -312,24 +310,24 @@ _DISPATCH = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, each taking only the flags its command reads."""
+    """One subparser per command, each taking only the flags its command
+    reads, and ``replay``, which takes only a manifest and ``--out``."""
     parser = argparse.ArgumentParser(
         prog="headwayctl",
         description="Mixed-autonomy traffic simulation with dynamic headway control",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name, allow_abbrev=False) for name in _DISPATCH}
+    commands = {name: sub.add_parser(name, allow_abbrev=False) for name in [*_DISPATCH, "replay"]}
 
     def add(names, *flags, **kwargs):
         for name in names.split():
             commands[name].add_argument(*flags, **kwargs)
 
-    every = " ".join(commands)
-    add(every, "--scenario", default="braess5",
+    runs = " ".join(_DISPATCH)
+    add(runs, "--scenario", default="braess5",
         help="built-in name (braess5, braess8) or scenario JSON path")
-    add(every, "--out", required=True, help="output directory")
-    add(every, "--from-manifest", default=None, dest="from_manifest",
-        help="re-run with the options stored in a manifest")
+    add(f"{runs} replay", "--out", required=True, help="output directory")
+    add("replay", "manifest", help="manifest.json of the run to re-run")
     add("simulate evaluate train sweep-mu sweep-alpha", "--seed", type=_int_list, default=[0],
         dest="seeds", help="comma-separated seed list (train and sweeps train on the first)")
     add("simulate evaluate sweep-mu sweep-alpha", "--controller", default="uniform",
@@ -340,34 +338,35 @@ def build_parser() -> argparse.ArgumentParser:
         help="decision steps per PPO update")
     add("train sweep-mu sweep-alpha", "--n-envs", type=int, default=8, dest="n_envs",
         help="environments stepped per rollout")
-    add("sweep-mu", "--mu", type=_float_list, default=[], help="comma-separated mu values")
-    add("sweep-alpha", "--alpha", type=_float_list, default=[], help="comma-separated alphas")
-    add("heatmap", "--trace", default=None, help="trace CSV written by simulate")
+    add("sweep-mu", "--mu", type=_float_list, required=True, help="comma-separated mu values")
+    add("sweep-alpha", "--alpha", type=_float_list, required=True,
+        help="comma-separated alphas")
+    add("heatmap", "--trace", required=True, help="trace CSV written by simulate")
     return parser
 
 
-def _replay(parser: argparse.ArgumentParser, manifest: str, command: str, out: str) -> dict:
-    """The options of a manifest's stored command line, run into ``out``. The
-    line must be a ``command`` line that parses back to itself, so a replay
-    meets every check the command line makes and no option takes a default
-    the run did not; and the scenario and every other file the line names
-    must still hash as recorded."""
+def _replay(parser: argparse.ArgumentParser, manifest: str, out: str) -> tuple[dict, Scenario]:
+    """The options and the scenario of a manifest's stored command line, run
+    into ``out``. The line must be a run command's (not ``replay``'s) that
+    parses back to itself, so a replay meets every check the command line
+    makes and no option takes a default the run did not; and the scenario and
+    every other file the line names must still hash as recorded."""
     doc = read_document(manifest, "run manifest", ConfigError, MANIFEST_FORMAT)
     stored = doc.get("argv")
-    if not (isinstance(stored, list) and stored and all(isinstance(a, str) for a in stored)):
-        raise ConfigError(f"manifest {manifest} has no argv, a non-empty list of strings; "
-                          f"manifests written before argv was stored cannot replay")
-    if stored[0] != command:
-        raise ConfigError(f"manifest records a {stored[0]!r} run, not {command!r}")
+    if not (isinstance(stored, list) and stored and all(isinstance(a, str) for a in stored)
+            and stored[0] in _DISPATCH):
+        raise ConfigError(f"manifest {manifest} has no argv, a list of strings that starts "
+                          f"with a command of {', '.join(_DISPATCH)}; manifests written "
+                          f"before argv was stored cannot replay")
     try:
         options = vars(parser.parse_args([*stored, f"--out={out}"]))
     except SystemExit:  # argparse has printed why
-        raise ConfigError(f"manifest argv is not a valid {command} command line") from None
-    del options["from_manifest"]
+        raise ConfigError(f"manifest argv is not a valid {stored[0]} command line") from None
     if _argv(options) != stored:
         raise ConfigError(f"manifest argv is not canonical; it would run "
                           f"{' '.join(_argv(options))}")
-    sha256 = _scenario_sha256(load_scenario(options["scenario"]))
+    scenario = load_scenario(options["scenario"])
+    sha256 = _scenario_sha256(scenario)
     if sha256 != doc.get("scenario_sha256"):
         raise ConfigError(f"scenario {options['scenario']} has changed since the manifest was "
                           f"written (sha256 {sha256} != {doc.get('scenario_sha256')}); "
@@ -382,26 +381,17 @@ def _replay(parser: argparse.ArgumentParser, manifest: str, command: str, out: s
     if changed:
         raise ConfigError(f"{', '.join(changed)} changed since the manifest was "
                           f"written; replay would not reproduce the run")
-    return options
+    return options, scenario
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     options = vars(parser.parse_args(argv))
-    manifest = options.pop("from_manifest")
     try:
-        if manifest:
-            # A replay runs the stored command line; refuse what it would drop.
-            # Subcommands take no abbreviated flags, so each given flag
-            # appears in argv under its full name.
-            stray = [arg for arg in argv if arg.startswith("--")
-                     and arg.split("=")[0] not in ("--out", "--from-manifest")]
-            if stray:
-                raise ConfigError(f"--from-manifest runs the stored command line; "
-                                  f"drop {' '.join(stray)}")
-            options = _replay(parser, manifest, options["command"], options["out"])
-        scenario = load_scenario(options["scenario"])
+        if options["command"] == "replay":
+            options, scenario = _replay(parser, options["manifest"], options["out"])
+        else:
+            scenario = load_scenario(options["scenario"])
         _DISPATCH[options["command"]](options, scenario)
         _write_manifest(options, scenario)
         return EXIT_OK

@@ -255,8 +255,7 @@ def test_criterion_9_manifest_determinism(tmp_path):
     again = tmp_path / "b"
     assert main(["simulate", "--scenario", "braess5", "--out", str(first),
                  "--seed", "0,1"]) == 0
-    assert main(["simulate", "--from-manifest", str(first / "manifest.json"),
-                 "--out", str(again)]) == 0
+    assert main(["replay", str(first / "manifest.json"), "--out", str(again)]) == 0
     names_a = sorted(p.name for p in first.glob("*.csv"))
     names_b = sorted(p.name for p in again.glob("*.csv"))
     identical = names_a == names_b and all(
@@ -267,8 +266,7 @@ def test_criterion_9_manifest_determinism(tmp_path):
     mu_b = tmp_path / "mu_b"
     assert main(["sweep-mu", "--scenario", "braess5", "--out", str(mu_a),
                  "--mu", "0.05,0.1", "--seed", "0"]) == 0
-    assert main(["sweep-mu", "--from-manifest", str(mu_a / "manifest.json"),
-                 "--out", str(mu_b)]) == 0
+    assert main(["replay", str(mu_a / "manifest.json"), "--out", str(mu_b)]) == 0
     identical &= (mu_a / "sweep_mu.csv").read_bytes() == (mu_b / "sweep_mu.csv").read_bytes()
     elapsed = time.time() - start
     report(9, "manifest replay is byte-identical", identical, f"{elapsed:.1f}s")

@@ -1,5 +1,6 @@
 """Engine behavior: conservation, caps, determinism, latency bookkeeping."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from headwayctl.engine import _NEGATIVE_TOL, InvariantViolation, TrafficEnv, run_episode
 from headwayctl.network import ConfigError, DemandProfile, Link, Network, ODPair
-from headwayctl.scenario import Scenario, SimConfig, braess5_scenario
+from headwayctl.scenario import Scenario, SimConfig, braess5_scenario, braess8_scenario
 
 
 def single_link_scenario(length_m=10_000.0, v=10.0, initial=100.0, horizon_s=6_000.0,
@@ -230,7 +231,8 @@ def two_pass_check(env):
     pass, then on a miss every test again after the scrub."""
     counts = env.counts
     human, auto = env.queues.tolist()
-    over = np.add.reduce(counts, axis=(1, 2)) - env._jam_count
+    with np.errstate(invalid="ignore"):  # a link may hold inf and -inf
+        over = np.add.reduce(counts, axis=(1, 2)) - env._jam_count
     if (0.0 <= human < np.inf and 0.0 <= auto < np.inf
             and np.minimum.reduce(counts, axis=None) >= 0.0
             and not np.logical_or.reduce(over > env._jam_tolerance)):
@@ -298,6 +300,18 @@ def test_one_pass_state_check_matches_the_two_pass_one(base, overrides):
     queues = values[N_COUNTS:]
     assert (outcome(TrafficEnv._check_state, counts, queues)
             == outcome(two_pass_check, counts, queues))
+
+
+def test_a_link_holding_inf_and_minus_inf_is_a_negative_count():
+    # The link's total would be inf - inf. The check refuses the -inf count,
+    # and neither it nor its message warns on the way.
+    env = TrafficEnv(braess8_scenario())
+    env.reset(0)
+    env.counts[2, 0] = np.inf, -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match="negative count -inf"):
+            env._check_state()
 
 
 def test_the_jam_test_reads_the_scrubbed_counts():

@@ -149,14 +149,14 @@ class TestUnreadablePaths:
         (["heatmap", "--trace", "{binary}"], EXIT_USAGE),
         (["simulate", "--controller", "policy:{dir}"], EXIT_CHECKPOINT),
         (["simulate", "--controller", "policy:{binary}"], EXIT_CHECKPOINT),
-        (["simulate", "--from-manifest", "{dir}"], EXIT_USAGE),
-        (["simulate", "--from-manifest", "{binary}"], EXIT_USAGE),
+        (["replay", "{dir}"], EXIT_USAGE),
+        (["replay", "{binary}"], EXIT_USAGE),
         (["simulate", "--scenario", "{list}"], EXIT_USAGE),
         (["simulate", "--scenario", "{brace}"], EXIT_USAGE),
         (["simulate", "--controller", "policy:{list}"], EXIT_CHECKPOINT),
         (["simulate", "--controller", "policy:{brace}"], EXIT_CHECKPOINT),
-        (["simulate", "--from-manifest", "{list}"], EXIT_USAGE),
-        (["simulate", "--from-manifest", "{brace}"], EXIT_USAGE),
+        (["replay", "{list}"], EXIT_USAGE),
+        (["replay", "{brace}"], EXIT_USAGE),
     ], ids=["out-file", "scenario-dir", "scenario-binary", "trace-dir", "trace-binary",
             "checkpoint-dir", "checkpoint-binary", "manifest-dir", "manifest-binary",
             "scenario-list", "scenario-not-json", "checkpoint-list", "checkpoint-not-json",
@@ -184,8 +184,7 @@ class TestManifestReplay:
         again = tmp_path / "again"
         assert main(["simulate", "--scenario", short_scenario, "--out", str(first),
                      "--seed", "3,4"]) == EXIT_OK
-        assert main(["simulate", "--from-manifest", str(first / "manifest.json"),
-                     "--out", str(again)]) == EXIT_OK
+        assert main(["replay", str(first / "manifest.json"), "--out", str(again)]) == EXIT_OK
         a = read_bytes_of_csvs(first)
         b = read_bytes_of_csvs(again)
         assert a.keys() == b.keys()
@@ -222,34 +221,34 @@ class TestManifestReplay:
         doc["provenance"] = {"headwayctl": "9.9", "written_utc": "edited"}
         manifest.write_text(json.dumps(doc))
         again = tmp_path / "again"
-        assert main(["simulate", "--from-manifest", str(manifest),
-                     "--out", str(again)]) == EXIT_OK
+        assert main(["replay", str(manifest), "--out", str(again)]) == EXIT_OK
         assert read_bytes_of_csvs(first) == read_bytes_of_csvs(again)
+
+    def test_replay_loads_the_scenario_once(self, short_scenario, tmp_path, monkeypatch):
+        from headwayctl import harness
+
+        first = tmp_path / "first"
+        assert main(["simulate", "--scenario", short_scenario, "--out", str(first)]) == EXIT_OK
+        loads = []
+        monkeypatch.setattr(harness, "load_scenario",
+                            lambda name: loads.append(name) or load_scenario(name))
+        assert main(["replay", str(first / "manifest.json"),
+                     "--out", str(tmp_path / "again")]) == EXIT_OK
+        assert loads == [short_scenario]
 
     @pytest.mark.parametrize("extra", [
         ["--seed", "3"], ["--controller", "min"], ["--seed", "0"], ["--seed=0"],
         ["--scenario", "braess5"],
     ], ids=["seed", "controller", "default-seed", "default-seed-equals", "scenario"])
-    def test_flag_next_to_from_manifest_exit_2(self, short_scenario, tmp_path, extra):
-        # A replay runs the stored options, so any other flag would be
-        # dropped; it is refused, even at its default value.
+    def test_flag_next_to_replay_exit_2(self, short_scenario, tmp_path, extra):
+        # A replay runs the stored options, so it takes no other flag, even
+        # at its default value; argparse refuses one.
         first = tmp_path / "first"
         assert main(["simulate", "--scenario", short_scenario, "--out", str(first)]) == EXIT_OK
         again = tmp_path / "again"
-        assert main(["simulate", "--from-manifest", str(first / "manifest.json"), *extra,
-                     "--out", str(again)]) == EXIT_USAGE
-        assert not again.exists()
-
-    @pytest.mark.parametrize("recorded, replayed", [
-        (["simulate"], "evaluate"), (["evaluate"], "simulate"),
-        (["train", "--budget", "0"], "evaluate"),
-    ])
-    def test_other_subcommand_exit_2(self, short_scenario, tmp_path, recorded, replayed):
-        first = tmp_path / "first"
-        assert main([*recorded, "--scenario", short_scenario, "--out", str(first)]) == EXIT_OK
-        again = tmp_path / "again"
-        assert main([replayed, "--from-manifest", str(first / "manifest.json"),
-                     "--out", str(again)]) == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", str(first / "manifest.json"), *extra, "--out", str(again)])
+        assert exc.value.code == EXIT_USAGE
         assert not again.exists()
 
 
@@ -295,9 +294,11 @@ class TestSweeps:
         assert doc["argv"][0] == "sweep-mu"
 
     def test_sweep_mu_empty_list_exit_2(self, short_scenario, tmp_path):
-        code = main(["sweep-mu", "--scenario", short_scenario,
-                     "--out", str(tmp_path / "mu")])
-        assert code == EXIT_USAGE
+        out = tmp_path / "mu"
+        with pytest.raises(SystemExit) as exc:  # argparse: --mu is required
+            main(["sweep-mu", "--scenario", short_scenario, "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, code", [
         (["sweep-mu", "--mu", "0.1,-1", "--seed", "0,1,2,3"], EXIT_USAGE),
@@ -398,15 +399,15 @@ class TestSweeps:
 
 
 FLAGS = {
-    "simulate": {"--scenario", "--out", "--from-manifest", "--seed", "--controller"},
-    "evaluate": {"--scenario", "--out", "--from-manifest", "--seed", "--controller"},
-    "train": {"--scenario", "--out", "--from-manifest", "--seed", "--budget", "--n-steps",
-              "--n-envs"},
-    "sweep-mu": {"--scenario", "--out", "--from-manifest", "--seed", "--controller",
-                 "--budget", "--n-steps", "--n-envs", "--mu"},
-    "sweep-alpha": {"--scenario", "--out", "--from-manifest", "--seed", "--controller",
-                    "--budget", "--n-steps", "--n-envs", "--alpha"},
-    "heatmap": {"--scenario", "--out", "--from-manifest", "--trace"},
+    "simulate": {"--scenario", "--out", "--seed", "--controller"},
+    "evaluate": {"--scenario", "--out", "--seed", "--controller"},
+    "train": {"--scenario", "--out", "--seed", "--budget", "--n-steps", "--n-envs"},
+    "sweep-mu": {"--scenario", "--out", "--seed", "--controller", "--budget", "--n-steps",
+                 "--n-envs", "--mu"},
+    "sweep-alpha": {"--scenario", "--out", "--seed", "--controller", "--budget", "--n-steps",
+                    "--n-envs", "--alpha"},
+    "heatmap": {"--scenario", "--out", "--trace"},
+    "replay": {"--out"},
 }
 
 
@@ -421,7 +422,7 @@ class TestCommandFlags:
         declared = {name: {opt for action in p._actions for opt in action.option_strings}
                     - {"-h", "--help"} for name, p in sub.choices.items()}
         assert declared == FLAGS
-        assert sum(map(len, declared.values())) == 39
+        assert sum(map(len, declared.values())) == 34
 
     @pytest.mark.parametrize("argv", [
         ["train", "--controller", "min"],
@@ -452,6 +453,8 @@ class TestBadNumbers:
         ["evaluate", "--seed", "0,0"],
         ["train", "--budget", "1000"],  # not a whole number of 2048-step updates
         ["train", "--budget", "100", "--n-steps", "64"],
+        ["sweep-mu", "--mu", ""],
+        ["sweep-alpha", "--alpha", ","],
     ])
     def test_exit_2(self, argv, tmp_path):
         out = tmp_path / "out"
@@ -477,8 +480,10 @@ class TestHeatmap:
         assert "time (min)" in svg
 
     def test_missing_trace_flag_exit_2(self, short_scenario, tmp_path):
-        assert main(["heatmap", "--scenario", short_scenario,
-                     "--out", str(tmp_path / "hm")]) == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:  # argparse: --trace is required
+            main(["heatmap", "--scenario", short_scenario, "--out", str(tmp_path / "hm")])
+        assert exc.value.code == EXIT_USAGE
+        assert not (tmp_path / "hm").exists()
 
     def test_empty_trace_exit_2(self, short_scenario, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -902,8 +907,7 @@ class TestHonestReplay:
         doc["sim"]["mu_h"] = 0.2
         path.write_text(json.dumps(doc))
         again = tmp_path / "again"
-        assert main(["simulate", "--from-manifest", str(first / "manifest.json"),
-                     "--out", str(again)]) == EXIT_USAGE
+        assert main(["replay", str(first / "manifest.json"), "--out", str(again)]) == EXIT_USAGE
         assert not again.exists()
 
     def test_unchanged_scenario_replays(self, tmp_path):
@@ -913,8 +917,7 @@ class TestHonestReplay:
         # Reformatting the file does not change the scenario it describes.
         path.write_text(json.dumps(json.loads(path.read_text()), indent=4))
         again = tmp_path / "again"
-        assert main(["simulate", "--from-manifest", str(first / "manifest.json"),
-                     "--out", str(again)]) == EXIT_OK
+        assert main(["replay", str(first / "manifest.json"), "--out", str(again)]) == EXIT_OK
         assert read_bytes_of_csvs(first) == read_bytes_of_csvs(again)
 
     def assert_replay_refused(self, tmp_path, command, edit):
@@ -928,8 +931,7 @@ class TestHonestReplay:
         edit(doc)
         manifest.write_text(json.dumps(doc))
         again = tmp_path / "again"
-        assert main([command, "--from-manifest", str(manifest),
-                     "--out", str(again)]) == EXIT_USAGE
+        assert main(["replay", str(manifest), "--out", str(again)]) == EXIT_USAGE
         assert not again.exists()
 
     @staticmethod
@@ -945,7 +947,7 @@ class TestHonestReplay:
         assert main(["simulate", "--scenario", short_scenario, "--out", str(first)]) == EXIT_OK
         files = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in first.iterdir()}
         with pytest.raises(SystemExit) as exc:  # argparse: --out is required
-            main(["simulate", "--from-manifest", str(first / "manifest.json")])
+            main(["replay", str(first / "manifest.json")])
         assert exc.value.code == EXIT_USAGE
         assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
                 for p in first.iterdir()} == files
@@ -974,8 +976,9 @@ class TestHonestReplay:
         edit = lambda doc: self.set_flag(doc, flag, None if value is KeyError else str(value))
         self.assert_replay_refused(tmp_path, command, edit)
 
-    @pytest.mark.parametrize("command", ["bogus", 5])
+    @pytest.mark.parametrize("command", ["bogus", 5, "replay", "foo"])
     def test_unknown_replayed_command_exit_2(self, tmp_path, command):
+        # Only a run command replays; a stored replay line would be a loop.
         edit = lambda doc: doc["argv"].__setitem__(0, command)
         self.assert_replay_refused(tmp_path, "simulate", edit)
 
@@ -1001,7 +1004,7 @@ class TestReplayedInputFiles:
                      "--controller", f"policy:{ck / 'checkpoint.json'}"]) == EXIT_OK
         doc = json.loads((ev1 / "manifest.json").read_text())
         assert list(doc["input_sha256"]) == [str(ck / "checkpoint.json")]
-        replay = ["evaluate", "--from-manifest", str(ev1 / "manifest.json")]
+        replay = ["replay", str(ev1 / "manifest.json")]
         assert main([*replay, "--out", str(tmp_path / "same")]) == EXIT_OK
         assert read_bytes_of_csvs(tmp_path / "same") == read_bytes_of_csvs(ev1)
 
@@ -1018,7 +1021,7 @@ class TestReplayedInputFiles:
         trace = run / "trace_seed0.csv"
         assert main(["heatmap", "--scenario", short_scenario, "--trace", str(trace),
                      "--out", str(hm)]) == EXIT_OK
-        replay = ["heatmap", "--from-manifest", str(hm / "manifest.json")]
+        replay = ["replay", str(hm / "manifest.json")]
         assert main([*replay, "--out", str(tmp_path / "same")]) == EXIT_OK
         assert ((tmp_path / "same" / "heatmap.svg").read_bytes()
                 == (hm / "heatmap.svg").read_bytes())
@@ -1045,6 +1048,5 @@ class TestReplayedInputFiles:
             doc["input_sha256"] = record
         manifest.write_text(json.dumps(doc))
         again = tmp_path / "again"
-        assert main(["simulate", "--from-manifest", str(manifest),
-                     "--out", str(again)]) == EXIT_USAGE
+        assert main(["replay", str(manifest), "--out", str(again)]) == EXIT_USAGE
         assert not again.exists()

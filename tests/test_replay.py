@@ -72,7 +72,7 @@ def files_named(argv: list[str]) -> list[str]:
 def replay(manifest: Path, argv: list[str], out: Path) -> int:
     doc = json.loads(manifest.read_text())
     manifest.write_text(json.dumps(dict(doc, argv=argv)))
-    return main([argv[0], "--from-manifest", str(manifest), "--out", str(out)])
+    return main(["replay", str(manifest), "--out", str(out)])
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -289,11 +289,25 @@ def callers(tree: ast.AST, callee: str, function: str = "") -> list[str]:
 
 def test_main_runs_every_command_in_one_sequence():
     """``harness.main`` loads the scenario and writes the manifest for every
-    command, so no command does either; ``_replay`` loads the scenario only to
-    check its hash."""
+    command, so no command does either; ``_replay`` loads the replayed run's
+    scenario, checks its hash and hands it to ``main``."""
     tree = ast.parse((ROOT / "src" / "headwayctl" / "harness.py").read_text())
     assert callers(tree, "load_scenario") == ["_replay", "main"]
     assert callers(tree, "_write_manifest") == ["main"]
+
+
+def test_main_reads_argv_only_to_parse_it():
+    """``harness.main`` reads its ``argv`` only as the argument of
+    ``parser.parse_args``, so argparse makes every refusal of a command line."""
+    tree = ast.parse((ROOT / "src" / "headwayctl" / "harness.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    parsed = [arg for node in ast.walk(main) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute) and node.func.attr == "parse_args"
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "parser"
+              for arg in node.args]
+    reads = [node for node in ast.walk(main) if isinstance(node, ast.Name) and node.id == "argv"]
+    assert parsed and reads == parsed
 
 
 def test_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
