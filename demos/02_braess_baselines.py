@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from headwayctl import braess5_scenario, make_controller, run_episode
-from headwayctl.heatmap import write_heatmap
+from headwayctl.heatmap import heatmap_svg
 
 out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("demo_output")
 out_dir.mkdir(parents=True, exist_ok=True)
@@ -31,9 +31,9 @@ for name in ("uniform", "min"):
     congested = np.mean([t.congested.mean() for t in traces])
     print(f"{name:>10} | {ttt:>20.4e} | {congested:>8.1%}")
 
-    grid = (traces[0].density / net.jam_density).T  # links x steps
+    grid = (traces[0].count / net.length_m / net.jam_density).T  # links x steps
     svg_path = out_dir / f"heatmap_{name}.svg"
-    write_heatmap(grid, scenario.sim.dt_s, svg_path)
+    svg_path.write_text(heatmap_svg(grid, scenario.sim.dt_s))
     print(f"{'':>10}   heat map -> {svg_path}")
 
 print()

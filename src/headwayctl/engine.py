@@ -51,13 +51,12 @@ class InvariantViolation(RuntimeError):
 
 
 class EpisodeTrace:
-    """Per-step, per-link history of one episode; ``step_sim`` fills row t."""
+    """Per-step, per-link history of one episode; ``step_sim`` fills row t.
+    Time and density are derived from it where its CSV is written (``harness``)."""
 
     def __init__(self, n_steps: int, n_links: int, reward_scale: float):
         self.reward_scale = reward_scale
-        self.t_s = np.zeros(n_steps)
         self.count = np.zeros((n_steps, n_links))      # state at t
-        self.density = np.zeros((n_steps, n_links))
         self.autonomy = np.zeros((n_steps, n_links))
         # 0/1, kept integer: the CSV writes it as 0 or 1, not 0.0 or 1.0.
         self.congested = np.zeros((n_steps, n_links), dtype=int)
@@ -268,9 +267,7 @@ class TrafficEnv:
 
         reward = self.current_reward()
         trace, i = self.trace, self.step_index
-        trace.t_s[i] = self.t_s
         trace.count[i] = n_link
-        trace.density[i] = rho
         trace.autonomy[i] = alpha
         trace.congested[i] = congested
         trace.flow_vps[i] = flow

@@ -33,7 +33,7 @@ from numpy.lib.introspect import opt_func_info
 
 from . import __version__
 from .engine import EpisodeTrace, run_episode
-from .heatmap import write_heatmap
+from .heatmap import heatmap_svg
 from .network import ConfigError
 from .policies import CheckpointError, make_controller, save_checkpoint
 from .ppo import LEARNING_CURVE_HEADER, TrainConfig, evaluate_policy, train
@@ -73,25 +73,28 @@ def _repr_each(values: np.ndarray) -> Iterator[str]:
     return map(text.__getitem__, at.tolist())
 
 
-def trace_to_csv_rows(trace: EpisodeTrace) -> Iterator[tuple]:
-    """Flatten a trace to one row per (t, link), schema-stable.
+def trace_to_csv_rows(trace: EpisodeTrace, scenario: Scenario) -> Iterator[tuple]:
+    """Flatten a trace of ``scenario`` to one row per (t, link), schema-stable.
 
-    Rows come as tuples of cell text, ``_CSV_BLOCK_STEPS`` time steps at a
-    time, so memory stays bounded. Each column of a block is formatted in one
-    pass: floats with ``repr`` and the integer ``congested`` column with
-    ``str``, the text ``csv.writer`` gives the same values. A time is
-    formatted once per step, the link ids once, and each repeating column
-    once per distinct value.
+    ``t_s`` and ``density`` are derived as the step derives them: the step
+    index times ``dt_s``, and each count over its link's length. Rows come as
+    tuples of cell text, ``_CSV_BLOCK_STEPS`` time steps at a time, so memory
+    stays bounded. Each column of a block is formatted in one pass: floats
+    with ``repr`` and the integer ``congested`` column with ``str``, the text
+    ``csv.writer`` gives the same values. A time is formatted once per step,
+    the link ids once, and each repeating column once per distinct value.
     """
     T, L = trace.count.shape
+    dt, length = scenario.sim.dt_s, scenario.network.length_m
     link_ids = list(map(str, range(L))) * _CSV_BLOCK_STEPS
     for start in range(0, T, _CSV_BLOCK_STEPS):
-        block = slice(start, start + _CSV_BLOCK_STEPS)
-        times = [t for t in map(repr, trace.t_s[block].tolist()) for _ in range(L)]
-        count, density, autonomy, congested, flow, latency, beta = (
-            a[block].ravel() for a in (trace.count, trace.density, trace.autonomy,
-                                       trace.congested, trace.flow_vps, trace.latency_s,
-                                       trace.beta_a_m))
+        stop = min(start + _CSV_BLOCK_STEPS, T)
+        block = slice(start, stop)
+        times = [t for t in map(repr, (np.arange(start, stop) * dt).tolist()) for _ in range(L)]
+        density = (trace.count[block] / length).ravel()
+        count, autonomy, congested, flow, latency, beta = (
+            a[block].ravel() for a in (trace.count, trace.autonomy, trace.congested,
+                                       trace.flow_vps, trace.latency_s, trace.beta_a_m))
         yield from zip(times, link_ids, map(repr, count.tolist()), map(repr, density.tolist()),
                        _repr_each(autonomy), map(str, congested.tolist()),
                        map(repr, flow.tolist()), _repr_each(latency), _repr_each(beta))
@@ -222,7 +225,8 @@ def cmd_simulate(options: dict, scenario: Scenario) -> None:
     for seed in seeds:
         trace = run_episode(scenario, controller, seed)
         if options["command"] == "simulate":
-            write_csv(out / f"trace_seed{seed}.csv", TRACE_CSV_HEADER, trace_to_csv_rows(trace))
+            write_csv(out / f"trace_seed{seed}.csv", TRACE_CSV_HEADER,
+                      trace_to_csv_rows(trace, scenario))
         rows.append([seed, trace.ttt, trace.total_exited])
         del trace  # before the next episode allocates its own
     _, ttts, exits = zip(*rows)
@@ -283,8 +287,8 @@ def cmd_sweep_alpha(options: dict, scenario: Scenario) -> None:
 
 def cmd_heatmap(options: dict, scenario: Scenario) -> None:
     density = _read_trace(options["trace"], scenario)[:, :, TRACE_CSV_HEADER.index("density")]
-    write_heatmap((density / scenario.network.jam_density).T, scenario.sim.dt_s,
-                  _out_dir(options) / "heatmap.svg")
+    svg = heatmap_svg((density / scenario.network.jam_density).T, scenario.sim.dt_s)
+    (_out_dir(options) / "heatmap.svg").write_text(svg)
 
 
 # ----------------------------------------------------------------------

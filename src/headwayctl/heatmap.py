@@ -6,8 +6,6 @@ the link's density relative to its jam density.
 
 from __future__ import annotations
 
-from pathlib import Path as FsPath
-
 import numpy as np
 
 _GREEN = (0, 170, 0)
@@ -73,7 +71,3 @@ def heatmap_svg(density_ratio: np.ndarray, dt_s: float) -> str:
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_heatmap(density_ratio: np.ndarray, dt_s: float, path) -> None:
-    FsPath(path).write_text(heatmap_svg(density_ratio, dt_s))

@@ -3,7 +3,8 @@
 Every object is frozen and checks its values when built: a bad value, or
 an origin that cannot reach its destination, raises ``ConfigError``. A
 network derives its paths from its links, so each path is a simple chain of
-its links from the origin to the destination.
+its links from the origin to the destination; more than ``MAX_PATHS`` paths
+are refused.
 """
 
 from __future__ import annotations
@@ -12,6 +13,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+# The most simple paths a network may hold: the engine's memory and step time
+# grow with links times paths, and each node added to a complete digraph
+# multiplies its paths by about its node count.
+MAX_PATHS = 1_000
 
 
 class ConfigError(ValueError):
@@ -155,7 +162,8 @@ class Network:
 
 def _simple_paths(links: tuple[Link, ...], od: ODPair) -> tuple[tuple[int, ...], ...]:
     """Every simple directed path from ``od.origin`` to ``od.destination``, as
-    link ids in lexicographic order; ConfigError when there is none."""
+    link ids in lexicographic order; ConfigError when there is none, or as
+    soon as there are more than ``MAX_PATHS``."""
     out_links: dict[str, list[Link]] = {}
     for link in links:
         out_links.setdefault(link.from_node, []).append(link)
@@ -165,6 +173,9 @@ def _simple_paths(links: tuple[Link, ...], od: ODPair) -> tuple[tuple[int, ...],
     def walk(node: str, visited: set[str], trail: list[int]):
         if node == od.destination:
             found.append(tuple(trail))
+            if len(found) > MAX_PATHS:
+                raise ConfigError(f"more than {MAX_PATHS} paths from {od.origin} to "
+                                  f"{od.destination}; the step's work grows with them")
             return
         for link in out_links.get(node, []):
             if link.to_node in visited:

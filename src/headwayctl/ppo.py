@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import ClassVar
 
 import numpy as np
@@ -250,19 +250,11 @@ def train(scenario: Scenario, config: TrainConfig):
     n_updates = config.total_steps // config.n_steps
     curve: list[dict] = []
     best_params = copy.deepcopy(ac.policy)
-    if n_updates == 0:
-        return best_params, curve
 
     steps_per_env = config.n_steps // config.n_envs
     envs = [TrafficEnv(scenario) for _ in range(config.n_envs)]
-    episode_counter = 0
-
-    def next_episode_seed() -> int:
-        nonlocal episode_counter
-        episode_counter += 1
-        return (config.seed * 1_000_003 + episode_counter) % (2**63)
-
-    obs_now = np.stack([env.reset(next_episode_seed()) for env in envs])
+    episode_seeds = ((config.seed * 1_000_003 + k) % (2**63) for k in count(1))
+    obs_now = np.stack([env.reset(next(episode_seeds)) for env in envs])
     normalizer = _ReturnNormalizer(config.n_envs)
     adam = Adam(ac.params.size, lr=LEARNING_RATE)
     best_ttt = math.inf
@@ -293,7 +285,7 @@ def train(scenario: Scenario, config: TrainConfig):
             for e, env in enumerate(envs):
                 beta = squash_to_bounds(u[e], net.beta_min_m, net.beta_max_m)
                 obs, rewards[e], dones[e] = env.decision_step(beta)
-                obs_now[e] = env.reset(next_episode_seed()) if dones[e] else obs
+                obs_now[e] = env.reset(next(episode_seeds)) if dones[e] else obs
             rew_buf[:, step] = normalizer.update(rewards, dones)
             done_buf[:, step] = dones
 

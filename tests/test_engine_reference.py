@@ -47,9 +47,8 @@ def loop_step(env):
     congested = fd.congestion_state(rho, ncrit)
     latency = fd.link_latency(flow, congested, length, net.speed_mps, ncrit, jam)
     path_lat = np.array([fd.path_latency(p, latency) for p in paths])
-    row = {"t_s": env.t_s, "count": n_link, "density": rho, "autonomy": alpha,
-           "congested": congested, "flow_vps": flow, "latency_s": latency,
-           "beta_a_m": env.beta_a}
+    row = {"count": n_link, "autonomy": alpha, "congested": congested, "flow_vps": flow,
+           "latency_s": latency, "beta_a_m": env.beta_a}
 
     out_total = np.minimum(flow * dt, n_link)
     with np.errstate(invalid="ignore"):

@@ -1,7 +1,9 @@
 """CLI commands, manifests, byte-identical replay, heatmap SVG output."""
 
+import argparse
 import csv
 import json
+import re
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from headwayctl.engine import run_episode
-from headwayctl.harness import EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, main, write_csv
+from headwayctl.harness import EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, build_parser, main, write_csv
 from headwayctl.policies import (
     OBS_SPEC_VERSION,
     CheckpointError,
@@ -452,18 +454,31 @@ FLAGS = {
 }
 
 
+def declared_flags() -> dict[str, set[str]]:
+    """Each command's flags as ``build_parser`` declares them, help aside."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for action in p._actions for opt in action.option_strings}
+            - {"-h", "--help"} for name, p in sub.choices.items()}
+
+
 class TestCommandFlags:
     def test_each_command_declares_only_its_own_flags(self):
-        import argparse
-
-        from headwayctl.harness import build_parser
-
-        sub = next(a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        declared = {name: {opt for action in p._actions for opt in action.option_strings}
-                    - {"-h", "--help"} for name, p in sub.choices.items()}
+        declared = declared_flags()
         assert declared == FLAGS
         assert sum(map(len, declared.values())) == 34
+
+    def test_readme_flag_table_lists_each_commands_flags(self):
+        # One row per command but replay, whose flags a sentence gives; the
+        # table leaves out --scenario and --out, which it says every row takes.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme[readme.index("| Command | Flags |"):].split("\n\n", 1)[0]
+        listed = {}
+        for row in table.splitlines()[2:]:
+            commands, flags = row.strip("|").split("|")
+            for name in re.findall(r"`([a-z-]+)`", commands):
+                listed[name] = set(re.findall(r"`(--[a-z-]+)`", flags))
+        assert listed == {name: flags - {"--scenario", "--out"}
+                          for name, flags in declared_flags().items() if name != "replay"}
 
     @pytest.mark.parametrize("argv", [
         ["train", "--controller", "min"],

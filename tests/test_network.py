@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from headwayctl import network as network_module
 from headwayctl.engine import run_episode
 from headwayctl.harness import _scenario_sha256
 from headwayctl.network import ConfigError, DemandProfile, Link, Network, ODPair, demand_at
@@ -166,6 +168,30 @@ class TestEnumeratePaths:
     def test_deterministic_lexicographic_order(self):
         net = braess5_scenario().network
         assert list(net.paths) == sorted(net.paths)
+
+
+def complete_digraph(n_nodes):
+    """Edges of the complete digraph on nodes 0..n-1; origin 0 and destination
+    n-1 are joined by sum((n-2)!/k! for k in 0..n-2) simple paths."""
+    return [(str(a), str(b)) for a in range(n_nodes) for b in range(n_nodes) if a != b]
+
+
+class TestPathLimit:
+    """A network of more than MAX_PATHS simple paths is refused at load."""
+
+    @pytest.mark.parametrize("n_nodes, n_paths", [(8, 1_957), (12, 9_864_101)])
+    def test_too_many_paths_refused_quickly(self, n_nodes, n_paths):
+        # Checked first: the 12-node search would exhaust memory unbounded.
+        assert network_module.MAX_PATHS < n_paths
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=f"more than {network_module.MAX_PATHS} paths "
+                                              f"from 0 to {n_nodes - 1}"):
+            network(complete_digraph(n_nodes), "0", str(n_nodes - 1))
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_network_under_the_limit_loads(self):
+        # 7 nodes: 326 paths.
+        assert len(network(complete_digraph(7), "0", "6").paths) == 326
 
 
 class TestDemand:
